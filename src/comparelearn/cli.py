@@ -69,13 +69,13 @@ def _witness_json(result: dimensions.DimensionResult):
 
 
 def cmd_dims(args) -> None:
-    first = _load_class(args.classes[0])
-    second = _load_class(args.classes[1]) if len(args.classes) > 1 else None
+    classes = [_load_class(path) for path in args.classes[:2]]
+    mutual = "mutual_" if len(classes) > 1 else ""
     out = {}
     if args.packing is not None:
-        if second is None:
+        if not mutual:
             raise ConfigError("--packing needs a source and a benchmark class file")
-        S, B = as_real_class(first), as_real_class(second)
+        S, B = map(as_real_class, classes)
         mu = (
             DiscreteDistribution.from_json(load_json(args.dist)).marginal_x()
             if args.dist
@@ -83,37 +83,22 @@ def cmd_dims(args) -> None:
         )
         out["packing"] = dimensions.packing_number(S, B, mu, args.packing)
         out["covering_upper"] = dimensions.covering_upper(S, B, mu, args.packing)
-    elif args.ldim:
-        if second is None:
-            res = dimensions.ldim(first)
-            out["ldim"] = res.value
-        else:
-            res = dimensions.mutual_ldim(first, second)
-            out["mutual_ldim"] = res.value
-        out["witness"] = _witness_json(res)
+        _emit(out)
+        return
+    if args.ldim:
+        name, res = "ldim", dimensions.mutual_ldim(*classes)
     elif args.margins is not None:
         e1, e2 = (float(v) for v in args.margins.split(","))
-        if second is None:
+        if not mutual:
             raise ConfigError("--margins needs two class files")
-        res = dimensions.mutual_fat2(as_real_class(first), as_real_class(second), e1, e2)
-        out["mutual_fat2"] = res.value
-        out["witness"] = _witness_json(res)
+        name, res = "fat2", dimensions.mutual_fat2(*map(as_real_class, classes), e1, e2)
     elif args.margin is not None:
-        if second is None:
-            res = dimensions.fat(as_real_class(first), args.margin)
-            out["fat"] = res.value
-        else:
-            res = dimensions.mutual_fat(as_real_class(first), as_real_class(second), args.margin)
-            out["mutual_fat"] = res.value
-        out["witness"] = _witness_json(res)
+        fat = dimensions.mutual_fat if mutual else dimensions.fat
+        name, res = "fat", fat(*map(as_real_class, classes), args.margin)
     else:
-        if second is None:
-            res = dimensions.vc(first)
-            out["vc"] = res.value
-        else:
-            res = dimensions.mutual_vc(first, second)
-            out["mutual_vc"] = res.value
-        out["witness"] = _witness_json(res)
+        name, res = "vc", dimensions.mutual_vc(*classes)
+    out[mutual + name] = res.value
+    out["witness"] = _witness_json(res)
     _emit(out)
 
 
@@ -222,30 +207,23 @@ class _RecordingLearner:
 
 def cmd_online(args) -> None:
     if args.learner == "comp":
-        S = _load_class(args.source)
-        B = _load_class(args.benchmark)
-        learner = online.comp_online(S, B, args.rounds)
-        benchmarks = B
+        classes = (_load_class(args.source), _load_class(args.benchmark))
+        learner = online.comp_online(*classes, args.rounds)
     else:
-        H = _load_class(args.hypothesis_class)
-        benchmarks = H
+        classes = (_load_class(args.hypothesis_class),)
         if args.learner == "soa":
-            learner = online.SOALearner(H)
+            learner = online.SOALearner(classes[0])
         else:
-            learner = online.RWMLearner(H, args.rounds)
+            learner = online.RWMLearner(classes[0], args.rounds)
     if args.adversary == "replay":
         data = load_dataset(args.replay)
         seq = online.LabeledSequence(tuple(zip(data.xs.tolist(), data.ys.astype(int).tolist())))
-        report = online.run_sequence(learner, seq, benchmarks, keep_rounds=True)
+        report = online.run_sequence(learner, seq, classes[-1], keep_rounds=True)
     else:
         tree_data = load_json(args.tree)
         tree = dimensions.MistakeTree(tree_data["depth"], tuple(tree_data["nodes"]))
-        if args.learner == "comp":
-            S2, B2 = _load_class(args.source), _load_class(args.benchmark)
-        else:
-            S2 = B2 = _load_class(args.hypothesis_class)
         recorder = _RecordingLearner(learner)
-        seq, expected = online.play_tree_adversary(recorder, tree, S2, B2)
+        seq, expected = online.play_tree_adversary(recorder, tree, classes[0], classes[-1])
         report = online.RegretReport(
             n=len(seq),
             learner_rate=expected / len(seq),
@@ -257,12 +235,7 @@ def cmd_online(args) -> None:
     if args.out_report:
         ldim_bound = None
         try:
-            if args.learner == "comp":
-                m = dimensions.mutual_ldim(
-                    _load_class(args.source), _load_class(args.benchmark)
-                ).value
-            else:
-                m = dimensions.ldim(_load_class(args.hypothesis_class)).value
+            m = dimensions.mutual_ldim(*classes).value
             if m is not None:
                 ldim_bound = online.ldim_rate_bound(m, report.n)
         except GuardError:

@@ -1,8 +1,14 @@
 """Exact combinatorial dimensions of finite hypothesis classes.
 
-Mutual VC, mutual fat-shattering, and mutual Littlestone dimensions, computed
-by brute-force enumeration with hard guards, plus dual packing/covering
-numbers and a randomized Gilbert--Varshamov style packing construction.
+Mutual VC, mutual fat-shattering, and mutual Littlestone dimensions of one or
+more classes, with hard guards, plus dual packing/covering numbers and a
+randomized Gilbert--Varshamov style packing construction.
+
+One kernel serves all three: the members of a class are the bits of an int,
+and a set is shattered when every pattern cell (the members realizing one sign
+pattern) splits in two at each next point.  Subset searches walk increasing
+point tuples depth first; the Littlestone game recurses on version-space
+masks.  A single-class dimension is the one-class case of the mutual one.
 
 Conventions
 -----------
@@ -12,6 +18,9 @@ Conventions
 * All returned witnesses re-verify under the corresponding check:
   ``is_shattered`` for VC, ``is_fat_shattered`` for fat, and
   ``tree_shattered_by`` for Littlestone.
+* Witnesses are deterministic: the lexicographically first maximum subset,
+  then per class the first reference combination in candidate order, and for
+  trees the first splitting point in index order at every node.
 * Fat-shattering takes a supremum over reference functions r: X -> R.  For a
   finite class this supremum is realized on a finite candidate set per point:
   the usable-hypothesis sets change only when r(x) +- eta crosses a defined
@@ -23,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -35,6 +44,7 @@ from .core import (
     GVConstructionError,
     RealClass,
     _binarize_matrix,
+    binarize_class,
 )
 
 SUBSET_GUARD = 30
@@ -95,22 +105,84 @@ class MistakeTree:
 # ---------------------------------------------------------------------------
 
 
+def _masks(flags: np.ndarray) -> list[int]:
+    """Per column of a (members, columns) boolean array, the member bitmask."""
+    packed = np.packbits(flags, axis=0, bitorder="little").T
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _sign_masks(matrix: np.ndarray) -> tuple[list[int], list[int]]:
+    """Per column, the members labelling it +1 and the members labelling it -1."""
+    return _masks(matrix == 1), _masks(matrix == -1)
+
+
+def _split(cells: list[int], plus: int, minus: int) -> list[int] | None:
+    """Refine the pattern cells by one point; None unless every cell splits in two."""
+    out = [c & minus for c in cells] + [c & plus for c in cells]
+    return out if all(out) else None
+
+
+def _shatters(H, plus: list[int], minus: list[int]) -> bool:
+    cells = [(1 << len(H)) - 1]
+    for p, m in zip(plus, minus):
+        if not (cells := _split(cells, p, m)):
+            return False
+    return True
+
+
+def _domain_size(classes) -> int:
+    if not classes:
+        raise ValueError("at least one class is required")
+    n = classes[0].domain.size
+    if any(H.domain.size != n for H in classes):
+        raise ValueError("classes must share a domain")
+    return n
+
+
+def _max_shattered(classes, columns) -> tuple[tuple[int, ...], list[tuple]]:
+    """Lexicographically first largest subset that every class shatters.
+
+    ``columns[i][x]`` lists class i's columns ``(reference, plus, minus)`` at
+    point x.  The depth-first walk over increasing point tuples keeps, per
+    class, every reference prefix (in candidate order) whose pattern cells all
+    split, and cuts a branch as soon as one class has none left.  Returns the
+    subset and, per class, its first shattering reference combination.
+    """
+    n = classes[0].domain.size
+    # shattering k points takes 2^k distinct members
+    upper = min(n, min(len(H) for H in classes).bit_length() - 1)
+    best = ((), [()] * len(classes))
+
+    def dfs(subset, alive, start):
+        nonlocal best
+        for x in range(start, n):
+            if len(subset) + n - x <= len(best[0]) or len(best[0]) == upper:
+                return
+            grown = []
+            for prefixes, cols in zip(alive, columns):
+                ext = [
+                    (refs + (r,), cells)
+                    for refs, prev in prefixes
+                    for r, plus, minus in cols[x]
+                    if (cells := _split(prev, plus, minus))
+                ]
+                if not ext:
+                    break
+                grown.append(ext)
+            else:
+                if len(subset) + 1 > len(best[0]):
+                    best = (subset + (x,), [ext[0][0] for ext in grown])
+                dfs(subset + (x,), grown, x + 1)
+
+    dfs((), [[((), [(1 << len(H)) - 1])] for H in classes], 0)
+    return best
+
+
 def _guard_subset(subset) -> tuple[int, ...]:
     subset = tuple(int(x) for x in subset)
     if len(subset) > SUBSET_GUARD:
         raise GuardError(f"subset of size {len(subset)} exceeds guard {SUBSET_GUARD}")
     return subset
-
-
-def _realized_codes(matrix: np.ndarray, subset: tuple[int, ...]) -> set[int]:
-    """Codes of all total +-1 patterns realized on ``subset`` by matrix rows."""
-    sub = matrix[:, subset]
-    full = (sub != 0).all(axis=1)
-    if not full.any():
-        return set()
-    bits = (sub[full] + 1) >> 1  # -1 -> 0, +1 -> 1
-    weights = 1 << np.arange(len(subset), dtype=np.int64)
-    return set((bits.astype(np.int64) @ weights).tolist())
 
 
 def is_shattered(H: BinaryClass, subset) -> bool:
@@ -122,63 +194,26 @@ def is_shattered(H: BinaryClass, subset) -> bool:
     subset = _guard_subset(subset)
     if H.is_empty:
         return False
-    if not subset:
-        return True
-    return len(_realized_codes(H.matrix, subset)) == 2 ** len(subset)
-
-
-def _vc_upper_bound(H: BinaryClass) -> int:
-    # shattering k points requires 2^k distinct members
-    return min(H.domain.size, max(len(H).bit_length() - 1, 0))
-
-
-def _search_max_subset(n: int, upper: int, predicate) -> tuple[int, ...] | None:
-    """Largest subset satisfying ``predicate``, searching sizes downward.
-
-    Valid because shattering-style predicates are monotone under taking
-    subsets.  Returns None only if even the empty subset fails.
-    """
-    for k in range(min(upper, n), -1, -1):
-        for subset in combinations(range(n), k):
-            if predicate(subset):
-                return subset
-    return None
+    return _shatters(H, *_sign_masks(H.matrix[:, list(subset)]))
 
 
 def vc(H: BinaryClass) -> DimensionResult:
     """VC dimension of a partial binary class (UNDEFINED for an empty class)."""
-    if H.is_empty:
+    return mutual_vc(H)
+
+
+def mutual_vc(*classes: BinaryClass) -> DimensionResult:
+    """Largest size of a subset shattered by every class simultaneously.
+
+    Takes one or more classes; ``mutual_vc(H)`` is the VC dimension of H.
+    UNDEFINED when any class is empty.
+    """
+    _domain_size(classes)
+    if any(H.is_empty for H in classes):
         return DimensionResult(None)
-    cache: dict[tuple, bool] = {}
-
-    def pred(subset):
-        if subset not in cache:
-            cache[subset] = is_shattered(H, subset)
-        return cache[subset]
-
-    witness = _search_max_subset(H.domain.size, _vc_upper_bound(H), pred)
-    return DimensionResult(len(witness), witness)
-
-
-def mutual_vc(S: BinaryClass, B: BinaryClass) -> DimensionResult:
-    """Largest size of a subset shattered by both classes simultaneously."""
-    if S.domain.size != B.domain.size:
-        raise ValueError("classes must share a domain")
-    if S.is_empty or B.is_empty:
-        return DimensionResult(None)
-    caches = ({}, {})
-
-    def pred(subset):
-        for cls, cache in zip((S, B), caches):
-            if subset not in cache:
-                cache[subset] = is_shattered(cls, subset)
-            if not cache[subset]:
-                return False
-        return True
-
-    upper = min(_vc_upper_bound(S), _vc_upper_bound(B))
-    witness = _search_max_subset(S.domain.size, upper, pred)
-    return DimensionResult(len(witness), witness)
+    columns = [[[(None, p, m)] for p, m in zip(*_sign_masks(H.matrix))] for H in classes]
+    subset, _ = _max_shattered(classes, columns)
+    return DimensionResult(len(subset), subset)
 
 
 # ---------------------------------------------------------------------------
@@ -206,36 +241,19 @@ def reference_candidates(values: np.ndarray, eta: float) -> list[float]:
     return cands
 
 
-def _point_columns(H: RealClass, x: int, eta: float):
-    """Deduplicated binarized columns (r, column) with both signs present."""
-    col = H.matrix[:, x]
-    defined = col[~np.isnan(col)]
+def _fat_columns(H: RealClass, eta: float) -> list[list[tuple]]:
+    """Per point, the deduplicated binarized columns (r, plus, minus) with both signs."""
     out = []
-    seen = set()
-    for r in reference_candidates(defined, eta):
-        binz = np.zeros(col.shape, dtype=np.int8)
-        with np.errstate(invalid="ignore"):
-            binz[col > r + eta] = 1
-            binz[col < r - eta] = -1
-        if not ((binz == 1).any() and (binz == -1).any()):
-            continue
-        key = binz.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append((float(r), binz))
+    for col in H.matrix.T:
+        refs = reference_candidates(col[~np.isnan(col)], eta)
+        binz = _binarize_matrix(np.repeat(col[:, None], len(refs), axis=1), eta, np.array(refs))
+        cols, seen = [], set()
+        for r, p, m in zip(refs, *_sign_masks(binz)):
+            if p and m and (p, m) not in seen:
+                seen.add((p, m))
+                cols.append((float(r), p, m))
+        out.append(cols)
     return out
-
-
-def _columns_shatter(columns) -> bool:
-    """Do the stacked per-point columns realize all +-1 patterns?"""
-    k = len(columns)
-    matrix = np.stack(columns, axis=1)
-    full = (matrix != 0).all(axis=1)
-    if not full.any():
-        return False
-    bits = (matrix[full] + 1) >> 1
-    weights = 1 << np.arange(k, dtype=np.int64)
-    return len(set((bits.astype(np.int64) @ weights).tolist())) == 2**k
 
 
 def is_fat_shattered(H: RealClass, subset, eta: float, r) -> bool:
@@ -250,8 +268,6 @@ def is_fat_shattered(H: RealClass, subset, eta: float, r) -> bool:
         raise ValueError("eta must be >= 0")
     if H.is_empty:
         return False
-    if not subset:
-        return True
     if np.isscalar(r):
         refs = np.full(len(subset), float(r))
     else:
@@ -262,48 +278,23 @@ def is_fat_shattered(H: RealClass, subset, eta: float, r) -> bool:
             refs = arr[list(subset)]
         else:
             raise ValueError("r must align with the subset or the domain")
-    cols = _binarize_matrix(H.matrix[:, subset], eta, refs)
-    return _columns_shatter([cols[:, i] for i in range(len(subset))])
+    return _shatters(H, *_sign_masks(_binarize_matrix(H.matrix[:, list(subset)], eta, refs)))
 
 
-def _fat_shattered_some_r(H: RealClass, subset, eta: float):
-    """Existential reference search; returns (found, per-point r values)."""
-    subset = _guard_subset(subset)
-    if H.is_empty:
-        return False, None
-    if not subset:
-        return True, ()
-    per_point = []
-    for x in subset:
-        cols = _point_columns(H, x, eta)
-        if not cols:
-            return False, None
-        per_point.append(cols)
-    for combo in product(*per_point):
-        if _columns_shatter([c for _, c in combo]):
-            return True, tuple(r for r, _ in combo)
-    return False, None
-
-
-def _fat_upper_bound(H: RealClass) -> int:
-    return min(H.domain.size, max(len(H).bit_length() - 1, 0))
+def _fat_search(classes, etas) -> DimensionResult:
+    _domain_size(classes)
+    if min(etas) < 0:
+        raise ValueError("eta must be >= 0")
+    if any(H.is_empty for H in classes):
+        return DimensionResult(None)
+    columns = [_fat_columns(H, eta) for H, eta in zip(classes, etas)]
+    subset, refs = _max_shattered(classes, columns)
+    return DimensionResult(len(subset), (subset, *refs))
 
 
 def fat(H: RealClass, eta: float) -> DimensionResult:
     """eta-fat-shattering dimension with the reference supremum made exact."""
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    if H.is_empty:
-        return DimensionResult(None)
-    cache: dict[tuple, tuple] = {}
-
-    def pred(subset):
-        if subset not in cache:
-            cache[subset] = _fat_shattered_some_r(H, subset, eta)
-        return cache[subset][0]
-
-    witness = _search_max_subset(H.domain.size, _fat_upper_bound(H), pred)
-    return DimensionResult(len(witness), (witness, cache[witness][1]))
+    return _fat_search((H,), (eta,))
 
 
 def mutual_fat2(S: RealClass, B: RealClass, eta1: float, eta2: float) -> DimensionResult:
@@ -312,29 +303,7 @@ def mutual_fat2(S: RealClass, B: RealClass, eta1: float, eta2: float) -> Dimensi
     The two reference functions are searched independently, matching the
     definition of the two-margin mutual dimension.
     """
-    if S.domain.size != B.domain.size:
-        raise ValueError("classes must share a domain")
-    if min(eta1, eta2) < 0:
-        raise ValueError("margins must be >= 0")
-    if S.is_empty or B.is_empty:
-        return DimensionResult(None)
-    cache_s: dict[tuple, tuple] = {}
-    cache_b: dict[tuple, tuple] = {}
-
-    def pred(subset):
-        if subset not in cache_s:
-            cache_s[subset] = _fat_shattered_some_r(S, subset, eta1)
-        if not cache_s[subset][0]:
-            return False
-        if subset not in cache_b:
-            cache_b[subset] = _fat_shattered_some_r(B, subset, eta2)
-        return cache_b[subset][0]
-
-    upper = min(_fat_upper_bound(S), _fat_upper_bound(B))
-    witness = _search_max_subset(S.domain.size, upper, pred)
-    return DimensionResult(
-        len(witness), (witness, cache_s[witness][1], cache_b[witness][1])
-    )
+    return _fat_search((S, B), (eta1, eta2))
 
 
 def mutual_fat(S: RealClass, B: RealClass, eta: float) -> DimensionResult:
@@ -352,8 +321,6 @@ def sup_theta_mutual_vc(Sbin: BinaryClass, B: RealClass, eta: float) -> Dimensio
     """sup over theta of VC(Sbin, B_eta^theta), exact via pooled breakpoints."""
     best = DimensionResult(None)
     for theta in theta_candidates(B, eta):
-        from .core import binarize_class
-
         res = mutual_vc(Sbin, binarize_class(B, eta, theta))
         if res.value is not None and (best.value is None or res.value > best.value):
             best = res
@@ -365,159 +332,119 @@ def sup_theta_mutual_vc(Sbin: BinaryClass, B: RealClass, eta: float) -> Dimensio
 # ---------------------------------------------------------------------------
 
 
-class _LdimOracle:
-    """Memoized Littlestone-dimension computations over version-space bitmasks."""
+def _next_level(level: list[int], xs, plus, minus) -> list[int]:
+    """Split each state at its point: all the -1 halves, then all the +1 halves."""
+    return [s & minus[x] for s, x in zip(level, xs)] + [s & plus[x] for s, x in zip(level, xs)]
 
-    def __init__(self, H: BinaryClass):
-        if H.is_empty:
-            raise ValueError("empty class")
-        if len(H) > LDIM_CLASS_GUARD:
-            raise GuardError(f"|H| = {len(H)} exceeds Ldim guard {LDIM_CLASS_GUARD}")
-        if H.domain.size > LDIM_DOMAIN_GUARD:
-            raise GuardError(
-                f"domain size {H.domain.size} exceeds Ldim guard {LDIM_DOMAIN_GUARD}"
-            )
-        self.n = H.domain.size
-        self.full = (1 << len(H)) - 1
-        self.plus = []
-        self.minus = []
-        for x in range(self.n):
-            col = H.matrix[:, x]
-            self.plus.append(_mask_from_bool(col == 1))
-            self.minus.append(_mask_from_bool(col == -1))
-        self.memo: dict[int, int] = {}
 
-    def ldim(self, mask: int) -> int:
-        if mask == 0:
-            raise ValueError("ldim of empty version space")
-        cached = self.memo.get(mask)
-        if cached is not None:
-            return cached
-        best = 0
-        cap = mask.bit_count().bit_length() - 1  # ldim <= log2 |V|
-        for x in range(self.n):
-            mp = mask & self.plus[x]
-            mm = mask & self.minus[x]
-            if mp and mm:
-                d = 1 + min(self.ldim(mp), self.ldim(mm))
+class LdimGame:
+    """The mutual Littlestone game of one or more classes over version spaces.
+
+    A state is one int holding the surviving members of every class, each
+    class in its own bit segment followed by a zero guard bit; ``plus[x]`` and
+    ``minus[x]`` are the members labelling x with +1 and -1, and ``full`` is
+    the starting state.
+    """
+
+    def __init__(self, *classes: BinaryClass):
+        n = _domain_size(classes)
+        for H in classes:
+            if len(H) > LDIM_CLASS_GUARD:
+                raise GuardError(f"|H| = {len(H)} exceeds Ldim guard {LDIM_CLASS_GUARD}")
+        if n > LDIM_DOMAIN_GUARD:
+            raise GuardError(f"domain size {n} exceeds Ldim guard {LDIM_DOMAIN_GUARD}")
+        guard_row = np.zeros((1, n), dtype=np.int8)
+        rows = np.vstack([M for H in classes for M in (H.matrix, guard_row)])
+        self.plus, self.minus = _sign_masks(rows)
+        offsets = list(accumulate((len(H) + 1 for H in classes), initial=0))
+        self._segments = [((1 << len(H)) - 1) << o for H, o in zip(classes, offsets)]
+        self.full = sum(self._segments)
+        self._guard = sum(1 << (o - 1) for o in offsets[1:])
+        # points at which every class has both signs, in index order
+        self._points = [
+            (x, p, m)
+            for x, (p, m) in enumerate(zip(self.plus, self.minus))
+            if all(p & seg and m & seg for seg in self._segments)
+        ]
+        self._memo: dict[int, int] = {}
+
+    def value(self, state: int) -> int:
+        """Depth of the deepest mistake tree that every class's part of ``state``
+        shatters; -1 when some part is empty."""
+        memo, value = self._memo, self.value
+        best = memo.get(state)
+        if best is not None:
+            return best
+        one = len(self._segments) == 1
+        smallest = (
+            state.bit_count() if one else min((state & seg).bit_count() for seg in self._segments)
+        )
+        cap = smallest.bit_length() - 1  # ldim <= log2 of the smallest part
+        best = 0 if cap >= 0 else -1
+        full, guard = self.full, self._guard
+        for _, plus, minus in self._points:
+            sp, sm = state & plus, state & minus
+            # with one class two nonzero halves suffice; otherwise each segment
+            # plus its all-ones carries into its guard bit iff it is nonzero
+            if sp and sm and (one or (sp + full) & guard == guard and (sm + full) & guard == guard):
+                dp, dm = value(sp), value(sm)
+                d = 1 + (dp if dp < dm else dm)
                 if d > best:
                     best = d
                     if best >= cap:
                         break
-        self.memo[mask] = best
+        memo[state] = best
         return best
 
-    def build_tree(self, mask: int, depth: int) -> list[int]:
-        """Nodes (BFS) of a depth-``depth`` tree shattered by the version space."""
-        nodes: dict[tuple[int, ...], int] = {}
-
-        def rec(m: int, d: int, path: tuple[int, ...]):
-            if d == 0:
-                return
-            for x in range(self.n):
-                mp = m & self.plus[x]
-                mm = m & self.minus[x]
-                if mp and mm and min(self.ldim(mp), self.ldim(mm)) >= d - 1:
-                    nodes[path] = x
-                    rec(mm, d - 1, path + (-1,))
-                    rec(mp, d - 1, path + (1,))
-                    return
-            raise AssertionError("witness construction failed")
-
-        rec(mask, depth, ())
-        return _bfs_nodes(nodes, depth)
-
-
-def _mask_from_bool(flags: np.ndarray) -> int:
-    mask = 0
-    for i in np.flatnonzero(flags):
-        mask |= 1 << int(i)
-    return mask
-
-
-def _bfs_nodes(nodes: dict[tuple[int, ...], int], depth: int) -> list[int]:
-    out = []
-    for level in range(depth):
-        for offset in range(2**level):
-            path = tuple(1 if offset >> i & 1 else -1 for i in range(level))
-            out.append(nodes[path])
-    return out
+    def tree(self, state: int, depth: int) -> MistakeTree:
+        """A depth-``depth`` tree that ``state`` shatters; breadth first, each node
+        takes the first point in index order whose halves keep the remaining depth."""
+        nodes, level = [], [state]
+        for d in range(depth - 1, -1, -1):
+            xs = [
+                next(x for x, p, m in self._points if min(self.value(s & m), self.value(s & p)) >= d)
+                for s in level
+            ]
+            nodes += xs
+            level = _next_level(level, xs, self.plus, self.minus)
+        return MistakeTree(depth, tuple(nodes))
 
 
 def ldim(H: BinaryClass) -> DimensionResult:
     """Littlestone dimension with a mistake-tree witness."""
-    if H.is_empty:
+    return mutual_ldim(H)
+
+
+def mutual_ldim(*classes: BinaryClass) -> DimensionResult:
+    """Mutual Littlestone dimension: the joint game where every version space survives.
+
+    Takes one or more classes; ``mutual_ldim(H)`` is the Littlestone dimension
+    of H.  UNDEFINED when any class is empty.
+    """
+    _domain_size(classes)
+    if any(H.is_empty for H in classes):
         return DimensionResult(None)
-    oracle = _LdimOracle(H)
-    value = oracle.ldim(oracle.full)
-    tree = MistakeTree(value, tuple(oracle.build_tree(oracle.full, value)))
-    return DimensionResult(value, tree)
-
-
-def mutual_ldim(S: BinaryClass, B: BinaryClass) -> DimensionResult:
-    """Mutual Littlestone dimension: the joint game where both version spaces survive."""
-    if S.domain.size != B.domain.size:
-        raise ValueError("classes must share a domain")
-    if S.is_empty or B.is_empty:
-        return DimensionResult(None)
-    os_, ob = _LdimOracle(S), _LdimOracle(B)
-    memo: dict[tuple[int, int], int] = {}
-    n = S.domain.size
-
-    def rec(ms: int, mb: int) -> int:
-        key = (ms, mb)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        best = 0
-        cap = min(ms.bit_count().bit_length(), mb.bit_count().bit_length()) - 1
-        for x in range(n):
-            sp, sm = ms & os_.plus[x], ms & os_.minus[x]
-            bp, bm = mb & ob.plus[x], mb & ob.minus[x]
-            if sp and sm and bp and bm:
-                d = 1 + min(rec(sp, bp), rec(sm, bm))
-                if d > best:
-                    best = d
-                    if best >= cap:
-                        break
-        memo[key] = best
-        return best
-
-    value = rec(os_.full, ob.full)
-    nodes: dict[tuple[int, ...], int] = {}
-
-    def build(ms: int, mb: int, d: int, path: tuple[int, ...]):
-        if d == 0:
-            return
-        for x in range(n):
-            sp, sm = ms & os_.plus[x], ms & os_.minus[x]
-            bp, bm = mb & ob.plus[x], mb & ob.minus[x]
-            if sp and sm and bp and bm and min(rec(sp, bp), rec(sm, bm)) >= d - 1:
-                nodes[path] = x
-                build(sm, bm, d - 1, path + (-1,))
-                build(sp, bp, d - 1, path + (1,))
-                return
-        raise AssertionError("witness construction failed")
-
-    build(os_.full, ob.full, value, ())
-    tree = MistakeTree(value, tuple(_bfs_nodes(nodes, value)))
-    return DimensionResult(value, tree)
+    game = LdimGame(*classes)
+    value = game.value(game.full)
+    return DimensionResult(value, game.tree(game.full, value))
 
 
 def tree_shattered_by(H: BinaryClass, tree: MistakeTree) -> bool:
-    """Re-verify a mistake tree: every root-to-leaf labeling is realized."""
-    if H.is_empty:
-        return tree.depth == 0
-    if tree.depth == 0:
-        return True
-    oracle = _LdimOracle(H)
-    for xi in product((-1, 1), repeat=tree.depth):
-        mask = oracle.full
-        for i in range(tree.depth):
-            x = tree.node(xi[:i])
-            mask &= oracle.plus[x] if xi[i] == 1 else oracle.minus[x]
-            if not mask:
-                return False
+    """Re-verify a mistake tree: every root-to-leaf labeling is realized.
+
+    Reads only the tree's nodes, so no search guard applies; a node outside
+    the domain raises ValueError.
+    """
+    n = H.domain.size
+    if not all(isinstance(x, (int, np.integer)) and 0 <= x < n for x in tree.nodes):
+        raise ValueError(f"tree nodes must be points of the domain [0, {n})")
+    xs = sorted({int(x) for x in tree.nodes})
+    plus, minus = (dict(zip(xs, masks)) for masks in _sign_masks(H.matrix[:, xs]))
+    level = [(1 << len(H)) - 1]  # the members on each path, breadth first
+    for i in range(tree.depth):
+        level = _next_level(level, tree.nodes[2**i - 1 : 2 ** (i + 1) - 1], plus, minus)
+        if not all(level):
+            return False
     return True
 
 
@@ -577,7 +504,7 @@ def packing_number(S: RealClass, B: RealClass, mu_x, eps: float) -> int:
     n = D.shape[0]
     edges = D > eps
     if n <= PACKING_EXACT_GUARD:
-        adj = [_mask_from_bool(edges[i]) & ~(1 << i) for i in range(n)]
+        adj = [mask & ~(1 << i) for i, mask in enumerate(_masks(edges.T))]
         return _max_clique(adj, n)
     chosen: list[int] = []
     for i in range(n):
@@ -613,7 +540,7 @@ def covering_number_exact(S: RealClass, B: RealClass, mu_x, eps: float) -> int:
     if n > COVERING_EXACT_GUARD:
         raise GuardError(f"|S| = {n} exceeds exact-covering guard {COVERING_EXACT_GUARD}")
     D = dual_distances(S, B, mu_x)
-    cover_masks = [_mask_from_bool(D[i] <= eps) for i in range(n)]
+    cover_masks = _masks((D <= eps).T)
     everything = (1 << n) - 1
     for size in range(1, n + 1):
         for combo in combinations(range(n), size):
@@ -652,23 +579,25 @@ def gv_packing(
     N = int(math.floor(2.0 ** (c * eps * eps * n / 2.0))) - 1
     if N < 2:
         models = [BinaryModel.constant(domain, 1), BinaryModel.constant(domain, -1)]
-        assert verify_pairwise_distance(models, eps)
-        return models
-    from .stat_model import rng_stream
+    else:
+        from .stat_model import rng_stream
 
-    threshold = 2.0 * eps * n  # dist >= 1/2 - eps  <=>  inner product <= 2 eps n
-    for attempt in range(max_retries):
-        rng = rng_stream(seed, 7901, attempt)
-        X = rng.integers(0, 2, size=(N, n)).astype(np.int32) * 2 - 1
-        G = X @ X.T
-        np.fill_diagonal(G, -n)
-        if G.max() <= threshold:
-            models = [BinaryModel(domain, X[i].astype(np.int8)) for i in range(N)]
-            assert verify_pairwise_distance(models, eps)
-            return models
-    raise GVConstructionError(
-        f"no valid packing after {max_retries} attempts (n={n}, eps={eps}, N={N})"
-    )
+        threshold = 2.0 * eps * n  # dist >= 1/2 - eps  <=>  inner product <= 2 eps n
+        for attempt in range(max_retries):
+            rng = rng_stream(seed, 7901, attempt)
+            X = rng.integers(0, 2, size=(N, n)).astype(np.int32) * 2 - 1
+            G = X @ X.T
+            np.fill_diagonal(G, -n)
+            if G.max() <= threshold:
+                models = [BinaryModel(domain, X[i].astype(np.int8)) for i in range(N)]
+                break
+        else:
+            raise GVConstructionError(
+                f"no valid packing after {max_retries} attempts (n={n}, eps={eps}, N={N})"
+            )
+    if not verify_pairwise_distance(models, eps):
+        raise GVConstructionError(f"packing fails the exact distance check (n={n}, eps={eps})")
+    return models
 
 
 def verify_pairwise_distance(models: list[BinaryModel], eps: float) -> bool:

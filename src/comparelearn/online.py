@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BinaryClass, agreement_class
-from .dimensions import MistakeTree, _LdimOracle, tree_shattered_by
+from .dimensions import LdimGame, MistakeTree, tree_shattered_by
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,13 @@ class SOALearner:
     def __init__(self, H: BinaryClass):
         if H.is_empty:
             raise ValueError("SOA requires a nonempty class")
-        self._oracle = _LdimOracle(H)
+        self._oracle = LdimGame(H)
         self.version = self._oracle.full
 
     def predict(self, x: int) -> float:
-        if self.version == 0:
-            return 1.0
         vp = self.version & self._oracle.plus[x]
         vm = self.version & self._oracle.minus[x]
-        dp = self._oracle.ldim(vp) if vp else -1
-        dm = self._oracle.ldim(vm) if vm else -1
-        return 1.0 if dp >= dm else 0.0
+        return 1.0 if self._oracle.value(vp) >= self._oracle.value(vm) else 0.0
 
     def update(self, x: int, y: int) -> None:
         mask = self._oracle.plus[x] if y == 1 else self._oracle.minus[x]

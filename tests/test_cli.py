@@ -213,6 +213,25 @@ def test_online_tree_adversary(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("node", [7, -1])
+def test_online_tree_node_outside_domain(tmp_path, capsys, node):
+    from itertools import product as iproduct
+
+    H = BinaryClass(Domain(3), np.array(list(iproduct((-1, 1), repeat=3)), dtype=np.int8))
+    hp, tp, rp = tmp_path / "H.json", tmp_path / "tree.json", tmp_path / "report.json"
+    write_json(hp, class_to_json(H))
+    write_json(tp, {"depth": 1, "nodes": [node]})
+    code = main(
+        [
+            "online", "--learner", "soa", "--hypothesis-class", str(hp),
+            "--adversary", "tree", "--tree", str(tp), "--rounds", "1",
+            "--out-report", str(rp),
+        ]
+    )
+    assert code == 2
+    assert not rp.exists()
+
+
 def test_scenario_command(tmp_path, capsys):
     out_dir = tmp_path / "scen"
     code, out = run_main(

@@ -21,6 +21,7 @@ from comparelearn import (
     is_fat_shattered,
     is_shattered,
     ldim,
+    multi_agreement_class,
     mutual_fat,
     mutual_fat2,
     mutual_ldim,
@@ -60,11 +61,13 @@ def oracle_vc(members, n):
 
 def oracle_mutual_vc(ms, mb, n):
     best = -1
+    witness = None
     for k in range(n + 1):
         for subset in combinations(range(n), k):
             if oracle_shattered(ms, subset) and oracle_shattered(mb, subset):
-                best = max(best, k)
-    return best
+                if k > best:
+                    best, witness = k, subset
+    return best, witness
 
 
 def oracle_fat_shattered(matrix, subset, eta):
@@ -173,8 +176,9 @@ def test_vc_matches_oracle_random():
         n = int(rng.integers(2, 6))
         C = random_binary_class(rng, n, int(rng.integers(1, 12)))
         got = vc(C)
-        exp, _ = oracle_vc(members_of(C), n)
+        exp, exp_witness = oracle_vc(members_of(C), n)
         assert got.value == exp
+        assert got.witness == exp_witness  # lexicographically first maximum subset
         assert is_shattered(C, got.witness)  # witness re-verifies
 
 
@@ -185,7 +189,9 @@ def test_mutual_vc_matches_oracle_and_symmetry():
         S = random_binary_class(rng, n, int(rng.integers(1, 10)))
         B = random_binary_class(rng, n, int(rng.integers(1, 10)))
         got = mutual_vc(S, B)
-        assert got.value == oracle_mutual_vc(members_of(S), members_of(B), n)
+        exp, exp_witness = oracle_mutual_vc(members_of(S), members_of(B), n)
+        assert got.value == exp
+        assert got.witness == exp_witness
         assert mutual_vc(B, S).value == got.value
         assert got.value <= min(vc(S).value, vc(B).value)
         assert is_shattered(S, got.witness) and is_shattered(B, got.witness)
@@ -206,7 +212,7 @@ def test_c1_m1_mutual_vc_one():
 
     spec = scenario("c1", 1)
     got = mutual_vc(spec.source, spec.benchmark)
-    assert got.value == oracle_mutual_vc(
+    assert (got.value, got.witness) == oracle_mutual_vc(
         members_of(spec.source), members_of(spec.benchmark), 4
     )
     assert got.value == 1
@@ -219,6 +225,13 @@ def test_claim_agreement_vc_identity_small():
         S = random_binary_class(rng, n, int(rng.integers(1, 12)))
         B = random_binary_class(rng, n, int(rng.integers(1, 12)))
         assert mutual_vc(S, B).value == vc(agreement_class(S, B)).value
+    rng = rng_stream(31, 13)
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        classes = [random_binary_class(rng, n, int(rng.integers(1, 12))) for _ in range(3)]
+        got = mutual_vc(*classes)
+        assert got == vc(multi_agreement_class(classes))  # value and witness
+        assert all(is_shattered(C, got.witness) for C in classes)
 
 
 # --- fat shattering ------------------------------------------------------------
@@ -372,6 +385,24 @@ def test_claim_mutual_ldim_equals_agreement_ldim():
         assert mutual_ldim(B, S).value == got.value
         assert tree_shattered_by(S, got.witness)
         assert tree_shattered_by(B, got.witness)
+    rng = rng_stream(31, 14)
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        classes = [random_binary_class(rng, n, int(rng.integers(1, 8))) for _ in range(3)]
+        got = mutual_ldim(*classes)
+        assert got == ldim(multi_agreement_class(classes))  # value and tree
+        assert all(tree_shattered_by(C, got.witness) for C in classes)
+
+
+def test_tree_shattered_by_reads_only_tree_nodes():
+    # 30 points exceed the Ldim search guard; checking a given tree needs no search
+    d = Domain(30)
+    H = BinaryClass(d, [np.ones(30, dtype=np.int8), -np.ones(30, dtype=np.int8)])
+    assert tree_shattered_by(H, MistakeTree(1, (29,)))
+    assert not tree_shattered_by(H, MistakeTree(2, (0, 1, 1)))
+    for node in (30, -1, 1.5):
+        with pytest.raises(ValueError):
+            tree_shattered_by(H, MistakeTree(1, (node,)))
 
 
 def test_ldim_guards():
