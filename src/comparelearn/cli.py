@@ -69,8 +69,10 @@ def _witness_json(result: dimensions.DimensionResult):
 
 
 def cmd_dims(args) -> None:
-    classes = [_load_class(path) for path in args.classes[:2]]
+    classes = [_load_class(path) for path in args.classes]
     mutual = "mutual_" if len(classes) > 1 else ""
+    if len(classes) > 2 and any(v is not None for v in (args.margin, args.margins, args.packing)):
+        raise ConfigError("--margin, --margins and --packing take one or two class files")
     out = {}
     if args.packing is not None:
         if not mutual:
@@ -294,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    d = sub.add_parser("dims", help="dimensions of one or two class files")
+    d = sub.add_parser("dims", help="dimensions of one or more class files")
     d.add_argument("classes", nargs="+", help="class JSON file(s)")
     d.add_argument("--margin", type=float, default=None, help="fat-shattering margin")
     d.add_argument("--margins", default=None, help="two margins eta1,eta2")

@@ -424,12 +424,6 @@ def as_real_class(H: BinaryClass | RealClass) -> RealClass:
     return RealClass(H.domain, vals, dedup=False)
 
 
-def as_real_model(f: BinaryModel | RealModel) -> RealModel:
-    if isinstance(f, RealModel):
-        return f
-    return RealModel(f.domain, f.values.astype(np.float64))
-
-
 # ---------------------------------------------------------------------------
 # interval partitions and sign vectors
 # ---------------------------------------------------------------------------

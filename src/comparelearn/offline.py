@@ -41,7 +41,7 @@ from .core import (
     sigma_mask_class,
     sign_arr,
 )
-from .stat_model import Dataset, ber_star
+from .stat_model import Dataset, _level_sums, ber_star
 
 MAMC_K_GUARD = 20
 DEFAULT_ENUM_CAP = 10**6
@@ -187,13 +187,9 @@ def agreement_learn(classes: Sequence[BinaryClass], data: Dataset) -> BinaryMode
 # ---------------------------------------------------------------------------
 
 
-def _rejection_sample(
-    xs: np.ndarray, ys: np.ndarray, probs: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+def _rejection_sample(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Keep mask with per-point keep probabilities; one uniform per point."""
-    if len(xs) == 0:
-        return np.zeros(0, dtype=bool)
-    return rng.random(len(xs)) < probs
+    return rng.random(len(probs)) < probs
 
 
 def dcorm_binary_benchmark(
@@ -210,9 +206,7 @@ def dcorm_binary_benchmark(
     returns the fixed constant +1 model.
     """
     eta = params.eta
-    keep = (np.abs(data.ys) > eta) & _rejection_sample(
-        data.xs, data.ys, np.abs(data.ys), rng
-    )
+    keep = (np.abs(data.ys) > eta) & _rejection_sample(np.abs(data.ys), rng)
     if not keep.any():
         return BinaryModel.constant(S.domain, 1)
     psi = Dataset(data.xs[keep], sign_arr(data.ys[keep]).astype(np.float64))
@@ -271,9 +265,7 @@ def dcorm_real(
     psi1, psi2 = _split_two(data, params)
     eta1, eta2 = params.eta1, params.eta2
     t = params.resolved_t()
-    keep = (np.abs(psi1.ys) > eta1) & _rejection_sample(
-        psi1.xs, psi1.ys, np.abs(psi1.ys), rng
-    )
+    keep = (np.abs(psi1.ys) > eta1) & _rejection_sample(np.abs(psi1.ys), rng)
     psi = Dataset(psi1.xs[keep], sign_arr(psi1.ys[keep]).astype(np.float64))
     Sbin = binarize_class(S, eta1, 0.0)
     models = _threshold_models(Sbin, B, psi, eta2, t, S.domain)
@@ -310,7 +302,7 @@ def corm_general(
     candidates: list[BinaryModel] = []
     for yhat in product(Y.tolist(), repeat=n1):
         yhat = np.asarray(yhat, dtype=np.float64)
-        keep = _rejection_sample(psi1.xs, yhat, np.abs(yhat), rng)
+        keep = _rejection_sample(np.abs(yhat), rng)
         psi = Dataset(psi1.xs[keep], sign_arr(yhat[keep]).astype(np.float64))
         candidates.extend(_threshold_models(Sbin, B, psi, eta2, t, S.domain))
     candidates.append(BinaryModel.constant(S.domain, 1))
@@ -378,12 +370,101 @@ def weak_from_strong(
 
 
 # ---------------------------------------------------------------------------
-# multiaccuracy / multicalibration (Algorithm 4)
+# the round scheduler and multiaccuracy / multicalibration (Algorithm 4)
 # ---------------------------------------------------------------------------
+
+
+def _block_loop(f, data, W, Wp, n1, n2, n3, calibrate, oracle_step, inspector, name):
+    """The round scheduler of :func:`ma_mc_learn`, :func:`boost` and :func:`omni_learn`.
+
+    ``data`` holds W' pair blocks of n1 + n2 points, then W check blocks of
+    n3 points.  Round j = 1..W first offers check block j to
+    ``calibrate(f, psi3, event)``, which returns the next f or None.  On None,
+    pair block j' = 1..W' (split n1 | n2) goes to
+    ``oracle_step(f, psi1, psi2, event)``, which returns the next f, and j'
+    advances, or the reason the loop stops: "few_points" or "weak_gain".
+    Every oracle step thus advances j' or ends the loop, so there are at most
+    W' of them.  Returns the last f.
+
+    ``inspector``, if given, receives one dict per round, for diagnostics
+    only; it must not influence the run.  Its keys:
+
+    - ``round`` (j - 1), ``j`` and ``j_prime``: the counters as the round starts;
+    - ``branch``: "calibrate" or "oracle";
+    - ``f_before``, ``f_after``: copies of f as the round starts and ends;
+    - ``updated``: whether f moved; False only on a round that stops the loop;
+    - ``broke``: on such a round, why it stopped;
+    - ``q_sign`` (boost) or ``q_cal`` (omni_learn): the check block's
+      measured miscalibration;
+    - ``n_kept`` (boost): the size of the rejection-sampled pair block;
+    - ``f_prime``, ``q_prime``: the oracle answer taken and its holdout value;
+    - ``candidates`` (ma_mc_learn, omni_learn): the oracle answer per sign vector.
+    """
+    if None in (n1, n2, n3):
+        raise ValueError(f"{name} requires explicit n1, n2, n3 split sizes")
+    split = Wp * (n1 + n2)
+    need = split + W * n3
+    if need > len(data):
+        raise ValueError(f"{name} needs {need} points, got {len(data)}")
+    j = j_prime = 1
+    while j <= W and j_prime <= Wp:
+        event = {"round": j - 1, "j": j, "j_prime": j_prime, "f_before": f.copy()}
+        step = calibrate(f, data.slice(split + (j - 1) * n3, split + j * n3), event)
+        event["branch"] = "oracle" if step is None else "calibrate"
+        if step is None:
+            base = (j_prime - 1) * (n1 + n2)
+            psi1, psi2 = data.slice(base, base + n1), data.slice(base + n1, base + n1 + n2)
+            step = oracle_step(f, psi1, psi2, event)
+            j_prime += 1
+        stopped = isinstance(step, str)
+        if stopped:
+            event["broke"] = step
+        else:
+            f = step
+        event.update(updated=not stopped, f_after=f.copy())
+        if inspector is not None:
+            inspector(event)
+        if stopped:
+            break
+        j += 1
+    return f
 
 
 def _all_sigmas(k: int):
     return list(product((-1, 1), repeat=k))
+
+
+def _sigma_round(S, B, partition, gamma, oracle, rng):
+    """The Algorithm-4 round of :func:`ma_mc_learn` and :func:`omni_learn`.
+
+    Returns it as an ``oracle_step`` for :func:`_block_loop`: the halved
+    residuals (y - f(x))/2 on psi1 go to the oracle once per sign vector
+    over the partition cells (S shifted and scaled by f, B masked by the sign
+    vector); the first answer with the largest holdout residual correlation
+    on psi2 is taken, and f steps gamma/2 along it if that correlation is
+    >= 3 gamma / 4.  Raises GuardError past the 2^k sweep guard, before any
+    oracle call.
+    """
+    if partition.k > MAMC_K_GUARD:
+        raise GuardError(f"k = {partition.k} exceeds the 2^k sigma sweep guard {MAMC_K_GUARD}")
+    sigmas = _all_sigmas(partition.k)
+
+    def oracle_step(f, psi1, psi2, event):
+        fmodel = RealModel(S.domain, f)
+        Sp = shift_scale_class(S, fmodel)
+        halved = Dataset(psi1.xs, (psi1.ys - f[psi1.xs]) / 2.0)
+        cands = [
+            oracle(Sp, sigma_mask_class(B, sig, fmodel, partition), halved, rng) for sig in sigmas
+        ]
+        resid2 = psi2.ys - f[psi2.xs]
+        qs = [float(np.mean(resid2 * c.values[psi2.xs])) if len(psi2) else 0.0 for c in cands]
+        best = int(np.argmax(qs))
+        event.update(candidates=cands, f_prime=cands[best], q_prime=qs[best])
+        if qs[best] >= 3.0 * gamma / 4.0:
+            return proj_interval_arr(f + gamma * cands[best].values / 2.0)
+        return "weak_gain"
+
+    return oracle_step
 
 
 def ma_mc_learn(
@@ -401,60 +482,23 @@ def ma_mc_learn(
     Each round presents the halved residuals (y - f(x))/2 to the weak oracle
     once per sign vector over the partition cells, picks the holdout-best
     update direction, and takes a projected step of length gamma/2 while the
-    holdout correlation stays >= 3 gamma / 4.
+    holdout correlation stays >= 3 gamma / 4.  It is :func:`_block_loop`
+    with W pair blocks of n1 + n2 points and no check blocks.
 
-    ``inspector``, if given, receives a dict per round with the pre/post
-    models, candidates, and the measured holdout value; it is for diagnostics
-    only and must not influence the run.
+    ``inspector``, if given, receives one dict per round (keys listed in
+    :func:`_block_loop`); it is for diagnostics only and must not influence
+    the run.
     """
-    k = partition.k
-    if k > MAMC_K_GUARD:
-        raise GuardError(f"k = {k} exceeds the 2^k sigma sweep guard {MAMC_K_GUARD}")
-    gamma = params.gamma
-    W = params.W
+    gamma, W = params.gamma, params.W
+    oracle_step = _sigma_round(S, B, partition, gamma, oracle, rng)
     if W <= 4.0 / gamma**2:
         raise ValueError("W must exceed 4 / gamma^2")
     n1 = params.n1 if params.n1 is not None else len(data) // (2 * W)
     n2 = params.n2 if params.n2 is not None else n1
-    if W * (n1 + n2) > len(data):
-        raise ValueError("data too short for W blocks of n1 + n2 points")
-    sigmas = _all_sigmas(k)
-    f = np.zeros(S.domain.size)
-    for j in range(W):
-        base = j * (n1 + n2)
-        psi1 = data.slice(base, base + n1)
-        psi2 = data.slice(base + n1, base + n1 + n2)
-        fmodel = RealModel(S.domain, f)
-        ytil = (psi1.ys - f[psi1.xs]) / 2.0
-        Sp = shift_scale_class(S, fmodel)
-        cands = [
-            oracle(Sp, sigma_mask_class(B, sig, fmodel, partition), Dataset(psi1.xs, ytil), rng)
-            for sig in sigmas
-        ]
-        qs = [
-            float(np.mean((psi2.ys - f[psi2.xs]) * c.values[psi2.xs])) if n2 else 0.0
-            for c in cands
-        ]
-        best = int(np.argmax(qs))
-        fprime, qprime = cands[best], qs[best]
-        fired = qprime >= 3.0 * gamma / 4.0
-        f_before = f.copy()
-        if fired:
-            f = proj_interval_arr(f + gamma * fprime.values / 2.0)
-        if inspector is not None:
-            inspector(
-                {
-                    "round": j,
-                    "f_before": f_before,
-                    "candidates": cands,
-                    "f_prime": fprime,
-                    "q_prime": qprime,
-                    "updated": fired,
-                    "f_after": f.copy(),
-                }
-            )
-        if not fired:
-            break
+    f = _block_loop(
+        np.zeros(S.domain.size), data, W, W, n1, n2, 0,
+        lambda f, psi3, event: None, oracle_step, inspector, "ma_mc_learn",
+    )
     return RealModel(S.domain, f)
 
 
@@ -483,71 +527,49 @@ def boost(
 
     Alternates a sign-calibration fix (step of length eps/2 against sign(f))
     with weak-oracle rounds on the rejection-sampled residual distribution
-    with keep ratio |y - pi(y, f(x))| / |y|.  Invokes the oracle at most
-    W_prime times (asserted) and returns sign(f).
+    with keep ratio |y - pi(y, f(x))| / |y|, scheduled by :func:`_block_loop`,
+    so the oracle is invoked at most W_prime times.  Returns sign(f).
+
+    ``inspector``, if given, receives one dict per round (keys listed in
+    :func:`_block_loop`); it is for diagnostics only.
     """
     alpha, gamma, eps = params.alpha, params.gamma, params.epsilon
     W, Wp = params.W, params.W_prime
     if W <= Wp + 4.0 / eps**2:
         raise ValueError("W must exceed W_prime + 4 / eps^2")
     n1, n2, n3 = params.n1, params.n2, params.n3
-    if None in (n1, n2, n3):
-        raise ValueError("boost requires explicit n1, n2, n3 split sizes")
-    need = Wp * (n1 + n2) + W * n3
-    if need > len(data):
-        raise ValueError(f"boost needs {need} points, got {len(data)}")
-    pair_block = data.slice(0, Wp * (n1 + n2))
-    third_block = data.slice(Wp * (n1 + n2), need)
     n0 = oracle.n0 if oracle.n0 is not None else params.n0
-    f = np.zeros(S.domain.size)
-    j = j_prime = 1
-    oracle_calls = 0
-    while j <= W and j_prime <= Wp:
-        psi3 = third_block.slice((j - 1) * n3, j * n3)
+
+    def calibrate(f, psi3, event):
         resid3 = psi3.ys - pi_proj_arr(psi3.ys, f[psi3.xs])
-        Q = float(np.mean(resid3 * sign_arr(f[psi3.xs]))) if n3 else 0.0
-        event = {"j": j, "j_prime": j_prime, "q_sign": Q, "f_before": f.copy()}
+        Q = event["q_sign"] = float(np.mean(resid3 * sign_arr(f[psi3.xs]))) if n3 else 0.0
         if Q < -3.0 * eps / 4.0:
-            f = proj_interval_arr(f - eps * sign_arr(f) / 2.0)
-            event.update(branch="calibrate", updated=True, f_after=f.copy())
-            if inspector is not None:
-                inspector(event)
-        else:
-            base = (j_prime - 1) * (n1 + n2)
-            psi1 = pair_block.slice(base, base + n1)
-            psi2 = pair_block.slice(base + n1, base + n1 + n2)
-            resid1 = psi1.ys - pi_proj_arr(psi1.ys, f[psi1.xs])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(psi1.ys == 0.0, 0.0, np.abs(resid1) / np.abs(psi1.ys))
-            keep = _rejection_sample(psi1.xs, psi1.ys, ratio, rng)
-            n_kept = int(keep.sum())
-            event.update(branch="oracle", n_kept=n_kept)
-            if n_kept < n1 * alpha / 2.0:
-                event.update(updated=False, broke="few_points", f_after=f.copy())
-                if inspector is not None:
-                    inspector(event)
-                break
-            psi = Dataset(psi1.xs[keep], psi1.ys[keep])
-            if n0 is not None:
-                psi = psi.slice(0, min(n0, len(psi)))
-            fprime = oracle(S, B, psi, rng)
-            oracle_calls += 1
-            resid2 = psi2.ys - pi_proj_arr(psi2.ys, f[psi2.xs])
-            Qp = float(np.mean(resid2 * fprime.values[psi2.xs])) if n2 else 0.0
-            event.update(f_prime=fprime, q_prime=Qp)
-            if Qp >= 4.0 * gamma * n_kept / (9.0 * n1):
-                f = proj_interval_arr(f + Qp * fprime.values / 2.0)
-                event.update(updated=True, f_after=f.copy())
-                if inspector is not None:
-                    inspector(event)
-                j_prime += 1
-            else:
-                event.update(updated=False, broke="weak_gain", f_after=f.copy())
-                if inspector is not None:
-                    inspector(event)
-                break
-        j += 1
-    assert oracle_calls <= Wp
+            return proj_interval_arr(f - eps * sign_arr(f) / 2.0)
+        return None
+
+    def oracle_step(f, psi1, psi2, event):
+        resid1 = psi1.ys - pi_proj_arr(psi1.ys, f[psi1.xs])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(psi1.ys == 0.0, 0.0, np.abs(resid1) / np.abs(psi1.ys))
+        keep = _rejection_sample(ratio, rng)
+        n_kept = event["n_kept"] = int(keep.sum())
+        if n_kept < n1 * alpha / 2.0:
+            return "few_points"
+        psi = Dataset(psi1.xs[keep], psi1.ys[keep])
+        if n0 is not None:
+            psi = psi.slice(0, min(n0, len(psi)))
+        fprime = oracle(S, B, psi, rng)
+        resid2 = psi2.ys - pi_proj_arr(psi2.ys, f[psi2.xs])
+        Qp = float(np.mean(resid2 * fprime.values[psi2.xs])) if n2 else 0.0
+        event.update(f_prime=fprime, q_prime=Qp)
+        if Qp >= 4.0 * gamma * n_kept / (9.0 * n1):
+            return proj_interval_arr(f + Qp * fprime.values / 2.0)
+        return "weak_gain"
+
+    f = _block_loop(
+        np.zeros(S.domain.size), data, W, Wp, n1, n2, n3,
+        calibrate, oracle_step, inspector, "boost",
+    )
     return BinaryModel(S.domain, sign_arr(f))
 
 
@@ -705,79 +727,33 @@ def omni_learn(
     >= 3 eps / 4 on the fresh check split, take a chi_sigma step of length
     eps/2; otherwise run one Algorithm-4-style weak-oracle round.  Stops when
     the oracle round fails to clear 3 gamma / 4 or the budgets run out.
+
+    ``inspector``, if given, receives one dict per round (keys listed in
+    :func:`_block_loop`); it is for diagnostics only.
     """
-    k = partition.k
-    if k > MAMC_K_GUARD:
-        raise GuardError(f"k = {k} exceeds the 2^k sigma sweep guard {MAMC_K_GUARD}")
     gamma, eps = params.gamma, params.epsilon
     W, Wp = params.W, params.W_prime
+    oracle_step = _sigma_round(S, B, partition, gamma, oracle, rng)
     if Wp <= 4.0 / gamma**2:
         raise ValueError("W_prime must exceed 4 / gamma^2")
     if W <= Wp + 4.0 / eps**2:
         raise ValueError("W must exceed W_prime + 4 / eps^2")
-    n1, n2, n3 = params.n1, params.n2, params.n3
-    if None in (n1, n2, n3):
-        raise ValueError("omni_learn requires explicit n1, n2, n3 split sizes")
-    need = Wp * (n1 + n2) + W * n3
-    if need > len(data):
-        raise ValueError(f"omni_learn needs {need} points, got {len(data)}")
-    pair_block = data.slice(0, Wp * (n1 + n2))
-    third_block = data.slice(Wp * (n1 + n2), need)
-    sigmas = _all_sigmas(k)
-    f = np.zeros(S.domain.size)
-    j = j_prime = 1
-    while j <= W and j_prime <= Wp:
-        psi3 = third_block.slice((j - 1) * n3, j * n3)
-        resid = psi3.ys - f[psi3.xs]
-        cells = partition.cell_indices(f[psi3.xs])
-        cell_means = np.zeros(k)
-        for i in range(k):
-            m = cells == i
-            if m.any():
-                cell_means[i] = resid[m].sum() / n3
-        best_q = float(np.abs(cell_means).sum())
-        event = {"j": j, "j_prime": j_prime, "q_cal": best_q, "f_before": f.copy()}
+    n3 = params.n3
+
+    def calibrate(f, psi3, event):
+        cell_means = np.zeros(partition.k)
+        for i, total in _level_sums(psi3.ys - f[psi3.xs], partition.cell_indices(f[psi3.xs])):
+            cell_means[i] = total / n3
+        best_q = event["q_cal"] = float(np.abs(cell_means).sum())
         if best_q >= 3.0 * eps / 4.0:
             sig = np.where(cell_means >= 0, 1, -1).astype(np.int8)
-            f = proj_interval_arr(f + eps * chi_arr(sig, partition, f) / 2.0)
-            event.update(branch="calibrate", updated=True, f_after=f.copy())
-            if inspector is not None:
-                inspector(event)
-        else:
-            base = (j_prime - 1) * (n1 + n2)
-            psi1 = pair_block.slice(base, base + n1)
-            psi2 = pair_block.slice(base + n1, base + n1 + n2)
-            fmodel = RealModel(S.domain, f)
-            ytil = (psi1.ys - f[psi1.xs]) / 2.0
-            Sp = shift_scale_class(S, fmodel)
-            cands = [
-                oracle(
-                    Sp,
-                    sigma_mask_class(B, sig, fmodel, partition),
-                    Dataset(psi1.xs, ytil),
-                    rng,
-                )
-                for sig in sigmas
-            ]
-            qs = [
-                float(np.mean((psi2.ys - f[psi2.xs]) * c.values[psi2.xs])) if n2 else 0.0
-                for c in cands
-            ]
-            best = int(np.argmax(qs))
-            fprime, qprime = cands[best], qs[best]
-            event.update(branch="oracle", f_prime=fprime, q_prime=qprime)
-            if qprime >= 3.0 * gamma / 4.0:
-                f = proj_interval_arr(f + gamma * fprime.values / 2.0)
-                event.update(updated=True, f_after=f.copy())
-                if inspector is not None:
-                    inspector(event)
-                j_prime += 1
-            else:
-                event.update(updated=False, broke="weak_gain", f_after=f.copy())
-                if inspector is not None:
-                    inspector(event)
-                break
-        j += 1
+            return proj_interval_arr(f + eps * chi_arr(sig, partition, f) / 2.0)
+        return None
+
+    f = _block_loop(
+        np.zeros(S.domain.size), data, W, Wp, params.n1, params.n2, n3,
+        calibrate, oracle_step, inspector, "omni_learn",
+    )
     return RealModel(S.domain, f)
 
 

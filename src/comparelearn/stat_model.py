@@ -229,10 +229,6 @@ def make_distribution(mu_x, source: SourceModel) -> DiscreteDistribution:
     return DiscreteDistribution(domain, atoms, kind)
 
 
-def sample(dist: DiscreteDistribution, n: int, rng: np.random.Generator) -> Dataset:
-    return dist.sample(n, rng)
-
-
 # ---------------------------------------------------------------------------
 # exact functionals
 # ---------------------------------------------------------------------------
@@ -305,43 +301,43 @@ def ma_error(f, B, dist: DiscreteDistribution) -> float:
     return float(per_member.max())
 
 
+def _level_sums(arr: np.ndarray, labels: np.ndarray):
+    """Yield (level, arr summed over that level's points) by increasing level;
+    ``labels`` gives each point's level, the last axis of ``arr`` the points."""
+    for v in np.unique(labels):
+        yield v, arr[..., labels == v].sum(axis=-1)
+
+
+def _mc_total(f, B, dist: DiscreteDistribution, labels: np.ndarray) -> float:
+    """Sup over members of the sum over levels of |defined sum| - * mass."""
+    defined, starred, _ = _residual_star_terms(f, B, dist)
+    totals = np.zeros(defined.shape[0])
+    for _, (level_defined, level_starred) in _level_sums(np.stack([defined, starred]), labels):
+        totals += np.abs(level_defined) - level_starred
+    return float(totals.max())
+
+
 def mc_error(f, B, dist: DiscreteDistribution) -> float:
     """Multicalibration error over the model's own level sets.
 
     The sign is chosen per level inside the sum; the sup over members is
     outside.
     """
-    defined, starred, _ = _residual_star_terms(f, B, dist)
-    fvals = _real_values(f)[dist.xs]
-    totals = np.zeros(defined.shape[0])
-    for v in np.unique(fvals):
-        m = fvals == v
-        totals += np.abs(defined[:, m].sum(axis=1)) - starred[:, m].sum(axis=1)
-    return float(totals.max())
+    return _mc_total(f, B, dist, _real_values(f)[dist.xs])
 
 
 def mc_error_lambda(
     f, B, dist: DiscreteDistribution, partition: IntervalPartition
 ) -> float:
     """Multicalibration error over a fixed interval partition of [-1, 1]."""
-    defined, starred, _ = _residual_star_terms(f, B, dist)
-    cells = partition.cell_indices(_real_values(f)[dist.xs])
-    totals = np.zeros(defined.shape[0])
-    for i in range(partition.k):
-        m = cells == i
-        if m.any():
-            totals += np.abs(defined[:, m].sum(axis=1)) - starred[:, m].sum(axis=1)
-    return float(totals.max())
+    return _mc_total(f, B, dist, partition.cell_indices(_real_values(f)[dist.xs]))
 
 
 def cal_error(f, dist: DiscreteDistribution) -> float:
     """Overall calibration error: sum over levels of |E[(y - f)1(f = v)]|."""
     fvals = _real_values(f)[dist.xs]
     resid = dist.ps * (dist.ys - fvals)
-    total = 0.0
-    for v in np.unique(fvals):
-        total += abs(float(resid[fvals == v].sum()))
-    return total
+    return sum(abs(float(total)) for _, total in _level_sums(resid, fvals))
 
 
 def sign_cal_error(f, dist: DiscreteDistribution) -> float:

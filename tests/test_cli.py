@@ -60,6 +60,24 @@ def test_dims_single_class_and_ldim(capsys, class_files):
     assert set(out["witness"]) <= {"depth", "nodes"}
 
 
+def test_dims_three_classes(capsys, class_files, tmp_path):
+    sp, bp, S, B = class_files
+    C = random_binary_class(rng_stream(97, 5), 4, 6)
+    cp = tmp_path / "C.json"
+    write_json(cp, class_to_json(C))
+    from comparelearn import mutual_ldim, mutual_vc
+
+    code, out = run_main(capsys, ["dims", str(sp), str(bp), str(cp)])
+    expected = mutual_vc(S, B, C)
+    assert expected != mutual_vc(S, B)
+    assert code == 0
+    assert out["mutual_vc"] == expected.value and out["witness"] == list(expected.witness)
+    code, out = run_main(capsys, ["dims", str(sp), str(bp), str(cp), "--ldim"])
+    assert code == 0 and out["mutual_ldim"] == mutual_ldim(S, B, C).value
+    for flag in (["--margin", "0.2"], ["--margins", "0.1,0.3"], ["--packing", "0.2"]):
+        assert main(["dims", str(sp), str(bp), str(cp), *flag]) == 2
+
+
 def test_dims_margin_flags(capsys, tmp_path):
     d = Domain(3)
     S = RealClass(d, [[0.5, -0.5, 0.0], [-0.5, 0.5, 0.5], [0.1, 0.9, -0.9]])

@@ -15,6 +15,7 @@ from comparelearn import (
     DiscreteDistribution,
     Domain,
     EnumerationCapError,
+    GuardError,
     IntervalPartition,
     LearnerParams,
     LossFunction,
@@ -520,20 +521,39 @@ def test_ma_mc_progress_and_bad_events():
     assert checked >= 1
 
 
+def _counting_oracle(calls, **contract):
+    oracle = exact_weak_oracle(**contract)
+    inner = oracle.fn
+
+    def counted(Sc, Bc, dd, rr):
+        calls.append(1)
+        return inner(Sc, Bc, dd, rr)
+
+    oracle.fn = counted
+    return oracle
+
+
 def test_ma_mc_k_guard_and_w_validation():
     S, B, dist = _mamc_instance(4)
     data = dist.sample(10, rng_stream(71, 105))
-    oracle = exact_weak_oracle(eta2=0.45, alpha=0.2, gamma=0.1)
-    with pytest.raises(Exception):
+    calls = []
+    oracle = _counting_oracle(calls, eta2=0.45, alpha=0.2, gamma=0.1)
+    with pytest.raises(GuardError):
         ma_mc_learn(
             S, B, data, IntervalPartition(21),
             LearnerParams(gamma=0.5, W=20, n1=1, n2=1), oracle,
+        )
+    with pytest.raises(GuardError):
+        omni_learn(
+            S, B, data, IntervalPartition(21),
+            LearnerParams(gamma=0.5, epsilon=0.5, W=40, W_prime=20, n1=1, n2=1, n3=1), oracle,
         )
     with pytest.raises(ValueError):
         ma_mc_learn(
             S, B, data, IntervalPartition(1),
             LearnerParams(gamma=0.1, W=5, n1=1, n2=1), oracle,
         )
+    assert calls == []
 
 
 def test_round_model():
@@ -713,6 +733,66 @@ def test_boost_potential_decreases_per_iteration():
                 assert drop >= bound - 1e-12
                 checked_orc += 1
     assert checked_cal + checked_orc >= 1
+
+
+def test_learners_unchanged_by_inspector():
+    # the same model and rng state with and without an inspector; one event
+    # per round, with the counters and branches the round scheduler documents
+    S, B, mdist = _mamc_instance(3, k=2)
+    part = IntervalPartition(2)
+    mamc_params = LearnerParams(alpha=0.4, gamma=0.2, W=101, n1=300, n2=300)
+    mamc_data = mdist.sample(101 * 600, rng_stream(71, 500))
+    bS, bB, bdist = _boost_instance(0)
+    p = BOOST_PARAMS
+    boost_data = bdist.sample(p.W_prime * (p.n1 + p.n2) + p.W * p.n3, rng_stream(71, 501))
+    omni_params = LearnerParams(
+        alpha=0.7, gamma=0.3, epsilon=0.3, W=90, W_prime=45, n1=300, n2=200, n3=200, k=4
+    )
+    oS, oB, odist = _mamc_instance(2, binary_benchmark=False)
+    omni_data = odist.sample(45 * 500 + 90 * 200, rng_stream(71, 502))
+    calls = []
+    oracle = _counting_oracle(calls, eta2=0.45, alpha=0.2, gamma=0.1, n0=500)
+    runs = {
+        "ma_mc_learn": lambda rng, insp: ma_mc_learn(
+            S, B, mamc_data, part, mamc_params, oracle, rng, inspector=insp
+        ),
+        "boost": lambda rng, insp: boost(bS, bB, boost_data, oracle, p, rng, inspector=insp),
+        "omni_learn": lambda rng, insp: omni_learn(
+            oS, oB, omni_data, IntervalPartition(4), omni_params, oracle, rng, inspector=insp
+        ),
+    }
+    branches = set()
+    for name, run in runs.items():
+        quiet_rng, loud_rng = rng_stream(71, 503), rng_stream(71, 503)
+        quiet = run(quiet_rng, None)
+        events = []
+        calls.clear()
+        loud = run(loud_rng, events.append)
+        assert quiet.values.tobytes() == loud.values.tobytes(), name
+        assert quiet_rng.random() == loud_rng.random(), name
+        assert events and all(ev["updated"] for ev in events[:-1]), name
+        assert [ev["round"] for ev in events] == list(range(len(events)))
+        assert [ev["j"] for ev in events] == list(range(1, len(events) + 1))
+        j_prime = 1
+        oracle_steps = 0
+        for ev, after in zip(events, events[1:] + [None]):
+            assert ev["j_prime"] == j_prime
+            assert ev["branch"] in ("calibrate", "oracle")
+            assert {"f_before", "f_after"} <= set(ev)
+            assert ("broke" in ev) == (not ev["updated"])
+            if after is not None:
+                np.testing.assert_array_equal(ev["f_after"], after["f_before"])
+            if ev["branch"] == "oracle":
+                j_prime += 1
+                oracle_steps += ev.get("broke") != "few_points"
+            branches.add((name, ev["branch"], ev["updated"]))
+        last = events[-1]["f_after"]
+        np.testing.assert_array_equal(loud.values, np.where(last >= 0, 1, -1) if name == "boost" else last)
+        per_step = 1 if name == "boost" else 2 ** (2 if name == "ma_mc_learn" else 4)
+        assert len(calls) == per_step * oracle_steps
+    assert ("omni_learn", "calibrate", True) in branches
+    assert ("omni_learn", "oracle", True) in branches
+    assert ("boost", "calibrate", True) in branches
 
 
 def test_boosting_plan_shapes():
