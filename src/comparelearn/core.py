@@ -118,6 +118,12 @@ def _encode_real(labels, size: int) -> np.ndarray:
     return out
 
 
+def _is_binary(arr: np.ndarray, star: bool = False) -> np.ndarray:
+    """Elementwise: is the label -1 or +1 (or 0, the *, when ``star``)?"""
+    ok = (arr == -1) | (arr == 1)
+    return ok | (arr == 0) if star else ok
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -143,7 +149,7 @@ class BinaryHypothesis(_Immutable):
             arr = labels.copy()
             if arr.shape != (domain.size,):
                 raise ValueError("label array length must equal domain size")
-            if not np.isin(arr, (-1, 0, 1)).all():
+            if not _is_binary(arr, star=True).all():
                 raise ValueError("binary labels must be -1, +1 or *")
         else:
             arr = _encode_binary(labels, domain.size)
@@ -226,17 +232,19 @@ class RealHypothesis(_Immutable):
 
 
 def _dedup_rows(matrix: np.ndarray) -> np.ndarray:
-    """Drop duplicate rows keeping first occurrences, by exact byte equality."""
-    seen: dict[bytes, int] = {}
-    keep: list[int] = []
-    for i in range(matrix.shape[0]):
-        key = matrix[i].tobytes()
-        if key not in seen:
-            seen[key] = i
-            keep.append(i)
-    if len(keep) == matrix.shape[0]:
+    """Drop duplicate rows keeping first occurrences, by exact byte equality.
+
+    Returns ``matrix`` itself when no row is dropped.  Rows are compared as
+    opaque byte strings, so NaN rows with the same bits merge.
+    """
+    if matrix.shape[0] < 2:
         return matrix
-    return matrix[keep]
+    rows = np.ascontiguousarray(matrix)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    if first.size == matrix.shape[0]:
+        return matrix
+    return matrix[np.sort(first)]
 
 
 class _BaseClass(_Immutable):
@@ -308,7 +316,7 @@ class BinaryClass(_BaseClass):
 
     @staticmethod
     def _validate_matrix(matrix):
-        if matrix.size and not np.isin(matrix, (-1, 0, 1)).all():
+        if not _is_binary(matrix, star=True).all():
             raise ValueError("binary labels must be -1, +1 or *")
 
 
@@ -339,7 +347,7 @@ class BinaryModel(_Immutable):
         arr = np.asarray(values, dtype=np.int8).copy()
         if arr.shape != (domain.size,):
             raise ValueError("model values length must equal domain size")
-        if not np.isin(arr, (-1, 1)).all():
+        if not _is_binary(arr).all():
             raise ValueError("binary model values must be -1 or +1 (total)")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", _freeze(arr))
@@ -472,7 +480,7 @@ def validate_sign_vector(sigma, k: int) -> np.ndarray:
     arr = np.asarray(sigma, dtype=np.int8)
     if arr.shape != (k,):
         raise ValueError(f"sign vector must have length {k}")
-    if not np.isin(arr, (-1, 1)).all():
+    if not _is_binary(arr).all():
         raise ValueError("sign vector entries must be -1 or +1")
     return arr
 

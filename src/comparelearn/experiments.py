@@ -34,7 +34,7 @@ from .core import (
     GuardError,
     RealClass,
     RealModel,
-    as_real_class,
+    gen_product_arr,
 )
 from .offline import (
     LossFunction,
@@ -48,11 +48,9 @@ from .stat_model import (
     Dataset,
     DiscreteDistribution,
     SourceModel,
-    class_error,
-    corr_partial,
-    correlation,
+    _binary_values,
+    _real_values,
     make_distribution,
-    regression_loss,
     rng_stream,
 )
 
@@ -86,24 +84,59 @@ class TaskSpec:
         raise ValueError(f"scenario {self.name} has no distribution family")
 
 
+def _support_rows(model_values: np.ndarray, benchmark, xs: np.ndarray, real: bool) -> np.ndarray:
+    """Row 0: the model on the support points ``xs``; row 1 + i: member i there.
+
+    With ``real`` a binary benchmark is read as +-1 with * as NaN.
+    """
+    members = benchmark.matrix[:, xs]
+    if real and isinstance(benchmark, BinaryClass):
+        members = np.where(members == 0, np.nan, members)
+    return np.concatenate((model_values[None, xs], members))
+
+
+def _loss_rows(loss: LossFunction, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """loss(y_j, rows[i, j]) for labels y_j in {-1, +1}, calling ``loss`` once
+    per label and distinct value."""
+    values, index = np.unique(rows, return_inverse=True)
+    table = np.array([[loss(y, q) for q in values] for y in (-1.0, 1.0)])
+    return table[(ys > 0).astype(np.intp), index.reshape(rows.shape)]
+
+
 def goal_satisfied(spec: TaskSpec, model, mu: DiscreteDistribution) -> bool:
-    """Exactly evaluate the task goal for one model against one distribution."""
+    """Exactly evaluate the task goal for one model against one distribution.
+
+    The model and every benchmark member are scored by one row-wise
+    expression over their values on the support (row 0 is the model), so a
+    model equal to a member ties with it exactly: the mistake mass with *
+    counting as a mistake (compl), E[y <> b(x)] with the generalized product
+    (corm, dcorm), or E[loss(y, b(x))] (compr, where a member with * on the
+    support is an error).
+    """
+    bench = spec.benchmark
     if spec.kind == "compl":
-        err = class_error(model, mu)
-        best = min(class_error(spec.benchmark.member(i), mu) for i in range(len(spec.benchmark)))
-        return err <= best + spec.epsilon + GOAL_ATOL
+        if mu.label_kind != "binary":
+            raise ValueError("class_error requires a binary-label distribution")
+        if not isinstance(bench, BinaryClass):
+            raise TypeError("a compl benchmark must be a BinaryClass")
+        rows = _support_rows(_binary_values(model), bench, mu.xs, real=False)
+        err = np.where(rows != mu.ys.astype(np.int8), mu.ps, 0.0).sum(axis=1)
+        return bool(err[0] <= err[1:].min() + spec.epsilon + GOAL_ATOL)
     if spec.kind in ("corm", "dcorm"):
-        corr = correlation(model, mu)
-        bench = as_real_class(spec.benchmark)
-        best = max(corr_partial(bench.member(i), mu) for i in range(len(bench)))
-        return corr >= best - spec.epsilon - GOAL_ATOL
+        values = _real_values(model)
+        if np.isnan(values).any():
+            raise ValueError("correlation requires a total model")
+        rows = _support_rows(values, bench, mu.xs, real=True)
+        corr = (mu.ps * gen_product_arr(mu.ys, rows)).sum(axis=1)
+        return bool(corr[0] >= corr[1:].max() - spec.epsilon - GOAL_ATOL)
     if spec.kind == "compr":
-        loss = regression_loss(model, spec.loss, mu)
-        bench = as_real_class(spec.benchmark)
-        best = min(
-            regression_loss(bench.member(i), spec.loss, mu) for i in range(len(bench))
-        )
-        return loss <= best + spec.epsilon + GOAL_ATOL
+        if mu.label_kind != "binary":
+            raise ValueError("regression_loss requires a binary-label distribution")
+        rows = _support_rows(_real_values(model), bench, mu.xs, real=True)
+        if np.isnan(rows[1:]).any():
+            raise ValueError("compr benchmark members must be defined on the support (no *)")
+        loss = (mu.ps * _loss_rows(spec.loss, mu.ys, rows)).sum(axis=1)
+        return bool(loss[0] <= loss[1:].min() + spec.epsilon + GOAL_ATOL)
     raise ValueError(f"unknown task kind {spec.kind!r}")
 
 
@@ -140,11 +173,9 @@ def _exactly_k_ones_sampled(n: int, k: int, cap: int, rng: np.random.Generator) 
 
 
 def _all_sign_patterns(n: int) -> np.ndarray:
-    out = np.empty((2**n, n), dtype=np.int8)
-    for i in range(2**n):
-        for j in range(n):
-            out[i, j] = 1 if (i >> j) & 1 else -1
-    return out
+    """Row i holds +1 at point j iff bit j of i is set, else -1."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    return (2 * bits - 1).astype(np.int8)
 
 
 def _uniform(n: int) -> np.ndarray:
@@ -547,15 +578,9 @@ def estimate_sample_complexity(
 
 
 def default_learner_factory(spec: TaskSpec):
-    """The stock learner for a scenario: agreement-class ERM for comparative
-    learning; the zero-sample baseline for forward constructions."""
-    if spec.kind == "compl":
-        A = agreement_class(spec.source, spec.benchmark)
-
-        def learn(data: Dataset, rng) -> BinaryModel:
-            return erm_agnostic(A, data)
-
-        return learn
+    """The stock learner for a scenario: the construction's zero-sample
+    baseline when it has one (the forward constructions), otherwise
+    agreement-class ERM for comparative learning."""
     if spec.baseline_model is not None:
         baseline = spec.baseline_model
 
@@ -563,6 +588,13 @@ def default_learner_factory(spec: TaskSpec):
             return baseline
 
         return learn_const
+    if spec.kind == "compl":
+        A = agreement_class(spec.source, spec.benchmark)
+
+        def learn(data: Dataset, rng) -> BinaryModel:
+            return erm_agnostic(A, data)
+
+        return learn
     raise ValueError(
         f"no default learner for scenario {spec.name} kind {spec.kind}; supply a factory"
     )

@@ -30,6 +30,7 @@ from .core import (
     NoConsistentHypothesisError,
     RealClass,
     RealModel,
+    _is_binary,
     agreement_class,
     binarize_class,
     chi_arr,
@@ -133,7 +134,7 @@ def erm_sample_bound(class_size: int, eps: float, delta: float) -> int:
 
 def _require_binary_labels(data: Dataset) -> np.ndarray:
     ys = data.ys
-    if not np.isin(ys, (-1.0, 1.0)).all():
+    if not _is_binary(ys).all():
         raise ValueError("binary learners require labels in {-1, +1}")
     return ys.astype(np.int8)
 

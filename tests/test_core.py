@@ -36,10 +36,13 @@ from comparelearn import (
     sigma_mask_class,
     sign,
 )
-from comparelearn.core import validate_sign_vector
+from comparelearn.core import _dedup_rows, validate_sign_vector
 from conftest import random_binary_class, random_real_class, random_real_model
 
 from comparelearn import rng_stream
+
+# int8 values that are not labels; -128 is its own absolute value
+NON_LABELS = (2, -2, 127, -128)
 
 
 # --- scalar ops -------------------------------------------------------------
@@ -138,6 +141,11 @@ def test_binary_hypothesis_labels():
     assert not h.is_total
     with pytest.raises(ValueError):
         BinaryHypothesis(d, [1, 2, -1])
+    for bad in NON_LABELS:
+        with pytest.raises(ValueError, match=r"binary labels must be -1, \+1 or \*"):
+            BinaryHypothesis(d, np.array([1, bad, -1], dtype=np.int8))
+        with pytest.raises(ValueError, match=r"binary labels must be -1, \+1 or \*"):
+            BinaryClass(d, np.array([[1, 0, -1], [1, bad, -1]], dtype=np.int8))
 
 
 def test_real_hypothesis_range():
@@ -146,6 +154,33 @@ def test_real_hypothesis_range():
     assert h.labels() == [0.5, STAR]
     with pytest.raises(ValueError):
         RealHypothesis(d, [1.5, 0])
+
+
+def _dedup_oracle(matrix):
+    first = {}
+    for i in range(matrix.shape[0]):
+        first.setdefault(matrix[i].tobytes(), i)
+    return matrix[sorted(first.values())]
+
+
+def test_dedup_rows_matches_dict_oracle():
+    rng = rng_stream(20240815, 9)
+    pools = (
+        np.array([-1, 0, 1], dtype=np.int8),
+        np.array([-1.0, -0.5, 0.0, 0.5, 1.0, np.nan]),
+    )
+    for trial in range(60):
+        pool = pools[trial % 2]
+        shape = (int(rng.integers(0, 40)), int(rng.integers(1, 4)))
+        matrix = rng.choice(pool, size=shape)
+        out = _dedup_rows(matrix)
+        expected = _dedup_oracle(matrix)
+        assert out.dtype == matrix.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        if expected.shape[0] == matrix.shape[0]:
+            assert out is matrix
+    nan_rows = np.array([[np.nan, 1.0], [np.nan, 1.0], [1.0, np.nan]])
+    assert _dedup_rows(nan_rows).tobytes() == nan_rows[[0, 2]].tobytes()
 
 
 def test_class_dedup_keeps_first_occurrence_order():
@@ -174,6 +209,13 @@ def test_models_must_be_total():
         BinaryModel(d, [1, 0])
     with pytest.raises(ValueError):
         RealModel(d, [0.5, float("nan")])
+    for bad in NON_LABELS:
+        with pytest.raises(ValueError, match=r"binary model values must be -1 or \+1"):
+            BinaryModel(d, np.array([1, bad], dtype=np.int8))
+        with pytest.raises(ValueError, match=r"sign vector entries must be -1 or \+1"):
+            validate_sign_vector(np.array([1, bad], dtype=np.int8), 2)
+    with pytest.raises(ValueError, match=r"sign vector entries must be -1 or \+1"):
+        validate_sign_vector([1, 0], 2)
 
 
 def test_immutability():

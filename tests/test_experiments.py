@@ -1,16 +1,26 @@
 """Scenario constructions, the n* estimator, and experiment orchestration."""
 
+import importlib.resources as res
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comparelearn import (
+    BinaryClass,
     BinaryModel,
     ConfigError,
     Dataset,
+    DiscreteDistribution,
     Domain,
+    RealClass,
+    RealHypothesis,
+    RealModel,
+    absolute_loss,
     class_error,
     corr_partial,
     correlation,
@@ -21,9 +31,13 @@ from comparelearn import (
     rng_stream,
     run_experiment,
     scenario,
+    squared_loss,
     wilson_interval,
 )
 from comparelearn.experiments import (
+    GOAL_ATOL,
+    TaskSpec,
+    _all_sign_patterns,
     _validate_config,
     c4_correlations_exact,
     default_learner_factory,
@@ -110,6 +124,138 @@ def test_c1_subclass_mode_beyond_guard():
     # deterministic subclass: rebuilding gives the same classes
     again = scenario("c1", 5, "forward")
     assert again.source == spec.source and again.benchmark == spec.benchmark
+
+
+def test_all_sign_patterns_bit_order():
+    for n in range(1, 6):
+        expected = [[1 if (i >> j) & 1 else -1 for j in range(n)] for i in range(2**n)]
+        out = _all_sign_patterns(n)
+        assert out.dtype == np.int8 and out.tolist() == expected
+
+
+# --- goal evaluation --------------------------------------------------------------
+
+LOSSES = (squared_loss(), absolute_loss())
+
+
+def _goal_oracle(spec, model, mu):
+    """The goal by one scalar functional call per member; None if it must raise."""
+    members = [spec.benchmark.member(i) for i in range(len(spec.benchmark))]
+    if spec.kind == "compl":
+        best = min(class_error(b, mu) for b in members)
+        return class_error(model, mu) <= best + spec.epsilon + GOAL_ATOL
+    if spec.kind in ("corm", "dcorm"):
+        best = max(corr_partial(b, mu) for b in members)
+        return correlation(model, mu) >= best - spec.epsilon - GOAL_ATOL
+    losses = [regression_loss(b, spec.loss, mu) for b in members]
+    if any(math.isnan(v) for v in losses):
+        return None
+    return regression_loss(model, spec.loss, mu) <= min(losses) + spec.epsilon + GOAL_ATOL
+
+
+def _gap(spec, model, mu):
+    """How far the model is behind the best member (negative when ahead)."""
+    members = [spec.benchmark.member(i) for i in range(len(spec.benchmark))]
+    if spec.kind == "compl":
+        return class_error(model, mu) - min(class_error(b, mu) for b in members)
+    if spec.kind in ("corm", "dcorm"):
+        return max(corr_partial(b, mu) for b in members) - correlation(model, mu)
+    losses = [regression_loss(b, spec.loss, mu) for b in members]
+    return regression_loss(model, spec.loss, mu) - min(losses)
+
+
+REAL_VALUES = (-1.0, -0.5, -0.25, 0.0, 1.0 / 3.0, 0.5, 1.0)
+
+
+@st.composite
+def goal_cases(draw):
+    kind = draw(st.sampled_from(["compl", "corm", "dcorm", "compr"]))
+    n = draw(st.integers(1, 5))
+    domain = Domain(n)
+    if kind == "compl" or draw(st.booleans()):
+        labels = st.sampled_from([-1, 0, 1] if draw(st.booleans()) else [-1, 1])
+        matrix = draw(st.lists(st.lists(labels, min_size=n, max_size=n), min_size=1, max_size=6))
+        bench = BinaryClass(domain, np.array(matrix, dtype=np.int8))
+        completed = np.where(bench.matrix == 0, 1, bench.matrix).astype(np.float64)
+    else:
+        values = st.sampled_from(REAL_VALUES + ((np.nan,) if draw(st.booleans()) else ()))
+        matrix = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=6))
+        bench = RealClass(domain, np.array(matrix, dtype=np.float64))
+        completed = np.nan_to_num(bench.matrix, nan=1.0)
+    # the model is either free or a member completed on its * points
+    pick = draw(st.integers(-1, len(bench) - 1))
+    if pick >= 0:
+        fvals = completed[pick]
+    else:
+        fvals = np.array(draw(st.lists(st.sampled_from(REAL_VALUES), min_size=n, max_size=n)))
+    if kind == "compl":
+        model = BinaryModel(domain, np.where(fvals >= 0, 1, -1).astype(np.int8))
+    else:
+        model = RealModel(domain, fvals)
+    real_labels = kind in ("corm", "dcorm") and draw(st.booleans())
+    label = st.sampled_from(REAL_VALUES if real_labels else (-1.0, 1.0))
+    atoms = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), label, st.integers(1, 9)), min_size=1, max_size=8
+        )
+    )
+    total = sum(w for _, _, w in atoms)
+    mu = DiscreteDistribution(
+        domain, [(x, y, w / total) for x, y, w in atoms], "real" if real_labels else "binary"
+    )
+    spec = TaskSpec("prop", kind, bench, bench, 0.0, 0.0, loss=draw(st.sampled_from(LOSSES)))
+    mode = draw(st.sampled_from(["tie", "below", "free"]))
+    if kind == "compr" and _goal_oracle(spec, model, mu) is None:
+        return spec, model, mu
+    gap = _gap(spec, model, mu)
+    if mode == "tie":
+        spec.epsilon = max(gap, 0.0)
+    elif mode == "below":
+        spec.epsilon = max(gap - 1e-6, 0.0)
+    else:
+        spec.epsilon = draw(st.floats(0.0, 1.0))
+    return spec, model, mu
+
+
+@settings(max_examples=300, deadline=None)
+@given(goal_cases())
+def test_goal_satisfied_matches_per_member_oracle(case):
+    spec, model, mu = case
+    expected = _goal_oracle(spec, model, mu)
+    if expected is None:
+        with pytest.raises(ValueError, match="defined on the support"):
+            goal_satisfied(spec, model, mu)
+    else:
+        assert goal_satisfied(spec, model, mu) == expected
+
+
+def test_compr_partial_benchmark_raises_in_either_member_order():
+    # losses under the squared loss: model 0.25, total member 1.0, partial member NaN
+    domain = Domain(2)
+    mu = DiscreteDistribution(domain, [(0, 1.0, 0.5), (1, 1.0, 0.5)], "binary")
+    model = RealModel(domain, [0.5, 0.5])
+    total, partial = [0.0, 0.0], [1.0, np.nan]
+    for rows in ([partial, total], [total, partial]):
+        bench = RealClass(domain, rows)
+        spec = TaskSpec("c3", "compr", bench, bench, 0.0, 0.0, loss=squared_loss())
+        with pytest.raises(ValueError, match="defined on the support"):
+            goal_satisfied(spec, model, mu)
+
+
+def test_goal_keeps_label_law_and_totality_checks():
+    domain = Domain(2)
+    real_law = DiscreteDistribution(domain, [(0, 0.5, 0.5), (1, 1.0, 0.5)], "real")
+    binary = BinaryClass(domain, [[1, -1]])
+    real = RealClass(domain, [[0.5, -0.5]])
+    spec = TaskSpec("t", "compl", binary, binary, 0.0, 0.0)
+    with pytest.raises(ValueError, match="binary-label distribution"):
+        goal_satisfied(spec, BinaryModel(domain, [1, 1]), real_law)
+    spec = TaskSpec("t", "compr", real, real, 0.0, 0.0, loss=squared_loss())
+    with pytest.raises(ValueError, match="binary-label distribution"):
+        goal_satisfied(spec, RealModel(domain, [0.0, 0.0]), real_law)
+    spec = TaskSpec("t", "corm", real, real, 0.0, 0.0)
+    with pytest.raises(ValueError, match="total model"):
+        goal_satisfied(spec, RealHypothesis(domain, [0.5, np.nan]), real_law)
 
 
 # --- estimator -------------------------------------------------------------------
@@ -229,6 +375,25 @@ def test_paper_suite_config_validates():
     assert _validate_config(cfg) is cfg
     names = {e["scenario"] for e in cfg["experiments"]}
     assert names == {"figure1", "c1", "c2", "c3", "c4"}
+
+
+def test_paper_suite_summary_matches_acceptance_claims(tmp_path):
+    cfg = json.loads(res.files("comparelearn").joinpath("data/paper_suite.json").read_text())
+    run_experiment(cfg, tmp_path)
+    rows = json.loads((tmp_path / "summary.json").read_text())["experiments"]
+    forward = [e for e in rows if e.get("direction") == "forward"]
+    assert {(e["scenario"], e["m"]) for e in forward} == {
+        ("figure1", 3), ("c1", 1), ("c1", 2), ("c1", 3), ("c2", 2), ("c3", 3)
+    }
+    assert all(e["n_star"] == 0 for e in forward)
+    growth = sorted(
+        (e["m"], e["n_star"]) for e in rows if e.get("direction") == "reversed"
+    )
+    assert [m for m, _ in growth] == [1, 2, 3]
+    stars = [n_star for _, n_star in growth]
+    assert None not in stars and stars == sorted(set(stars))
+    c4 = [e for e in rows if e["scenario"] == "c4"]
+    assert c4 and all(e["invariant_ok"] == e["pairs"] for e in c4)
 
 
 def test_millis_column_zero_by_default(tmp_path):

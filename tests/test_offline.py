@@ -135,6 +135,15 @@ def test_erm_realizable():
         erm_realizable(H, bad)
 
 
+def test_binary_learners_reject_non_sign_labels():
+    H = BinaryClass(Domain(2), [[1, -1]])
+    for bad in (2.0, -2.0, 127.0, -128.0, 0.0, float("nan")):
+        data = Dataset(np.array([0, 1]), np.array([1.0, bad]))
+        for learner in (erm_agnostic, erm_realizable):
+            with pytest.raises(ValueError, match=r"binary learners require labels in \{-1, \+1\}"):
+                learner(H, data)
+
+
 def test_erm_realizable_matches_consistency_scan():
     rng = rng_stream(61, 2)
     for _ in range(20):
