@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__, dimensions, offline, online
 from .core import (
+    BinaryModel,
     ConfigError,
     GuardError,
     IntervalPartition,
@@ -104,48 +105,46 @@ def cmd_dims(args) -> None:
     _emit(out)
 
 
+def _loss(args) -> offline.LossFunction:
+    return offline.squared_loss() if args.loss == "squared" else offline.absolute_loss()
+
+
+def _binary_model(f):
+    if not isinstance(f, BinaryModel):
+        raise ConfigError("class_error needs a binary --model")
+    return f
+
+
+# name -> (the files it reads besides --dist, call(model, benchmark, dist, args))
 _FUNCTIONALS = {
-    "class_error",
-    "correlation",
-    "corr_partial",
-    "ma_error",
-    "mc_error",
-    "mc_error_lambda",
-    "cal_error",
-    "sign_cal_error",
-    "regression_loss",
+    "class_error": (("model",), lambda f, B, mu, a: class_error(_binary_model(f), mu)),
+    "correlation": (("model",), lambda f, B, mu, a: correlation(f, mu)),
+    "corr_partial": (("benchmark",), lambda f, B, mu, a: corr_partial(B.member(0), mu)),
+    "ma_error": (("model", "benchmark"), lambda f, B, mu, a: ma_error(f, B, mu)),
+    "mc_error": (("model", "benchmark"), lambda f, B, mu, a: mc_error(f, B, mu)),
+    "mc_error_lambda": (
+        ("model", "benchmark"), lambda f, B, mu, a: mc_error_lambda(f, B, mu, IntervalPartition(a.k))
+    ),
+    "cal_error": (("model",), lambda f, B, mu, a: cal_error(f, mu)),
+    "sign_cal_error": (("model",), lambda f, B, mu, a: sign_cal_error(f, mu)),
+    "regression_loss": (("model",), lambda f, B, mu, a: regression_loss(f, _loss(a), mu)),
 }
 
 
 def cmd_eval(args) -> None:
-    dist = DiscreteDistribution.from_json(load_json(args.dist))
-    model = model_from_json(load_json(args.model)) if args.model else None
-    cls = _load_class(args.benchmark) if args.benchmark else None
     name = args.functional
     if name not in _FUNCTIONALS:
         raise ConfigError(f"unknown functional {name!r}; choose from {sorted(_FUNCTIONALS)}")
-    if name == "class_error":
-        value = class_error(model, dist)
-    elif name == "correlation":
-        value = correlation(model, dist)
-    elif name == "corr_partial":
-        if cls is None:
-            raise ConfigError("corr_partial evaluates the first member of --benchmark")
-        value = corr_partial(as_real_class(cls).member(0), dist)
-    elif name == "ma_error":
-        value = ma_error(model, as_real_class(cls), dist)
-    elif name == "mc_error":
-        value = mc_error(model, as_real_class(cls), dist)
-    elif name == "mc_error_lambda":
-        value = mc_error_lambda(model, as_real_class(cls), dist, IntervalPartition(args.k))
-    elif name == "cal_error":
-        value = cal_error(model, dist)
-    elif name == "regression_loss":
-        loss = offline.squared_loss() if args.loss == "squared" else offline.absolute_loss()
-        value = regression_loss(model, loss, dist)
-    else:
-        value = sign_cal_error(model, dist)
-    _emit({"functional": name, "value": value})
+    reads, call = _FUNCTIONALS[name]
+    for option in reads:
+        if getattr(args, option) is None:
+            raise ConfigError(f"{name} needs --{option}")
+    dist = DiscreteDistribution.from_json(load_json(args.dist))
+    model = model_from_json(load_json(args.model)) if "model" in reads else None
+    cls = as_real_class(_load_class(args.benchmark)) if "benchmark" in reads else None
+    if cls is not None and cls.is_empty:
+        raise ConfigError(f"{name} needs a nonempty --benchmark")
+    _emit({"functional": name, "value": call(model, cls, dist, args)})
 
 
 def _params_hash(params: dict) -> str:
@@ -178,9 +177,8 @@ def cmd_learn(args) -> None:
         elif task == "boost":
             model = offline.boost(as_real_class(S), as_real_class(B), data, oracle, lp, rng)
         elif task == "omni":
-            loss = offline.squared_loss() if args.loss == "squared" else offline.absolute_loss()
             model = offline.omnipredict(
-                as_real_class(S), as_real_class(B), loss, data, part, lp, oracle, rng
+                as_real_class(S), as_real_class(B), _loss(args), data, part, lp, oracle, rng
             )
         else:
             raise ConfigError(f"unknown task {task!r}")

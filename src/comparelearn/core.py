@@ -254,7 +254,7 @@ class _BaseClass(_Immutable):
 
     def __init__(self, domain: Domain, members, dedup: bool = True):
         if isinstance(members, np.ndarray):
-            matrix = members.copy()
+            matrix = members
         else:
             rows = []
             for m in members:
@@ -264,15 +264,10 @@ class _BaseClass(_Immutable):
                     rows.append(m.values)
                 else:
                     rows.append(self._hyp_type(domain, m).values)
-            matrix = (
-                np.stack(rows)
-                if rows
-                else np.empty((0, domain.size), dtype=self._dtype)
-            )
-        matrix = np.ascontiguousarray(matrix, dtype=self._dtype)
+            matrix = np.stack(rows) if rows else np.empty((0, domain.size))
         if matrix.ndim != 2 or matrix.shape[1] != domain.size:
             raise ValueError("member matrix must be (n_members, domain.size)")
-        self._validate_matrix(matrix)
+        matrix = self._validated(matrix)
         if dedup:
             matrix = _dedup_rows(matrix)
         object.__setattr__(self, "domain", domain)
@@ -312,30 +307,30 @@ class BinaryClass(_BaseClass):
     """A deduplicated finite set of partial binary hypotheses."""
 
     _hyp_type = BinaryHypothesis
-    _dtype = np.int8
 
     @staticmethod
-    def _validate_matrix(matrix):
+    def _validated(matrix):
+        """A C-ordered int8 copy, checked before the cast so nothing wraps."""
         if not _is_binary(matrix, star=True).all():
             raise ValueError("binary labels must be -1, +1 or *")
+        return np.array(matrix, dtype=np.int8, order="C")
 
 
 class RealClass(_BaseClass):
     """A deduplicated finite set of partial real-valued hypotheses."""
 
     _hyp_type = RealHypothesis
-    _dtype = np.float64
-
-    def __init__(self, domain: Domain, members, dedup: bool = True):
-        super().__init__(domain, members, dedup=dedup)
 
     @staticmethod
-    def _validate_matrix(matrix):
+    def _validated(matrix):
+        """A C-ordered float64 copy with -0.0 and every NaN normalized."""
+        matrix = np.array(matrix, dtype=np.float64, order="C")
         matrix += 0.0  # normalize -0.0
         defined = ~np.isnan(matrix)
         if defined.any() and (np.abs(matrix[defined]) > 1.0).any():
             raise ValueError("real labels must lie in [-1, 1]")
         matrix[~defined] = np.nan
+        return matrix
 
 
 class BinaryModel(_Immutable):
@@ -344,11 +339,12 @@ class BinaryModel(_Immutable):
     __slots__ = ("domain", "values")
 
     def __init__(self, domain: Domain, values):
-        arr = np.asarray(values, dtype=np.int8).copy()
+        arr = np.asarray(values)
         if arr.shape != (domain.size,):
             raise ValueError("model values length must equal domain size")
         if not _is_binary(arr).all():
             raise ValueError("binary model values must be -1 or +1 (total)")
+        arr = arr.astype(np.int8)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", _freeze(arr))
 
@@ -460,7 +456,7 @@ class IntervalPartition:
 
     def cell_indices(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr, dtype=np.float64)
-        if (np.abs(arr) > 1.0).any():
+        if not (np.abs(arr) <= 1.0).all():  # NaN (*) fails too
             raise ValueError("values must lie in [-1, 1]")
         j = np.ceil((arr + 1.0) * self.k / 2.0).astype(np.int64)
         return np.clip(j, 1, self.k) - 1
@@ -477,12 +473,12 @@ class IntervalPartition:
 
 
 def validate_sign_vector(sigma, k: int) -> np.ndarray:
-    arr = np.asarray(sigma, dtype=np.int8)
+    arr = np.asarray(sigma)
     if arr.shape != (k,):
         raise ValueError(f"sign vector must have length {k}")
     if not _is_binary(arr).all():
         raise ValueError("sign vector entries must be -1 or +1")
-    return arr
+    return arr.astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +584,8 @@ def _reference_array(r, size: int) -> np.ndarray:
 
 
 def _binarize_matrix(matrix: np.ndarray, eta: float, r: np.ndarray) -> np.ndarray:
-    out = np.zeros(matrix.shape, dtype=np.int8)
+    """+1 above r + eta, -1 below r - eta, else 0 (*), at the shape of matrix and r broadcast."""
+    out = np.zeros(np.broadcast_shapes(matrix.shape, np.shape(r)), dtype=np.int8)
     with np.errstate(invalid="ignore"):
         out[matrix > r + eta] = 1
         out[matrix < r - eta] = -1

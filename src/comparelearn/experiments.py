@@ -34,7 +34,6 @@ from .core import (
     GuardError,
     RealClass,
     RealModel,
-    gen_product_arr,
 )
 from .offline import (
     LossFunction,
@@ -49,7 +48,11 @@ from .stat_model import (
     DiscreteDistribution,
     SourceModel,
     _binary_values,
+    _corr_rows,
+    _error_rows,
+    _loss_rows,
     _real_values,
+    _total_values,
     make_distribution,
     rng_stream,
 )
@@ -95,47 +98,30 @@ def _support_rows(model_values: np.ndarray, benchmark, xs: np.ndarray, real: boo
     return np.concatenate((model_values[None, xs], members))
 
 
-def _loss_rows(loss: LossFunction, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """loss(y_j, rows[i, j]) for labels y_j in {-1, +1}, calling ``loss`` once
-    per label and distinct value."""
-    values, index = np.unique(rows, return_inverse=True)
-    table = np.array([[loss(y, q) for q in values] for y in (-1.0, 1.0)])
-    return table[(ys > 0).astype(np.intp), index.reshape(rows.shape)]
-
-
 def goal_satisfied(spec: TaskSpec, model, mu: DiscreteDistribution) -> bool:
     """Exactly evaluate the task goal for one model against one distribution.
 
-    The model and every benchmark member are scored by one row-wise
-    expression over their values on the support (row 0 is the model), so a
-    model equal to a member ties with it exactly: the mistake mass with *
-    counting as a mistake (compl), E[y <> b(x)] with the generalized product
-    (corm, dcorm), or E[loss(y, b(x))] (compr, where a member with * on the
-    support is an error).
+    The model and every benchmark member are scored by the same row
+    functional of :mod:`stat_model` over their values on the support (row 0
+    is the model), so a model equal to a member ties with it exactly: the
+    mistake mass with * counting as a mistake (compl), E[y <> b(x)] with the
+    generalized product (corm, dcorm), or E[loss(y, b(x))] (compr, where a
+    member with * on the support is an error).
     """
     bench = spec.benchmark
     if spec.kind == "compl":
-        if mu.label_kind != "binary":
-            raise ValueError("class_error requires a binary-label distribution")
         if not isinstance(bench, BinaryClass):
             raise TypeError("a compl benchmark must be a BinaryClass")
-        rows = _support_rows(_binary_values(model), bench, mu.xs, real=False)
-        err = np.where(rows != mu.ys.astype(np.int8), mu.ps, 0.0).sum(axis=1)
+        err = _error_rows(_support_rows(_binary_values(model), bench, mu.xs, real=False), mu)
         return bool(err[0] <= err[1:].min() + spec.epsilon + GOAL_ATOL)
     if spec.kind in ("corm", "dcorm"):
-        values = _real_values(model)
-        if np.isnan(values).any():
-            raise ValueError("correlation requires a total model")
-        rows = _support_rows(values, bench, mu.xs, real=True)
-        corr = (mu.ps * gen_product_arr(mu.ys, rows)).sum(axis=1)
+        corr = _corr_rows(_support_rows(_total_values(model), bench, mu.xs, real=True), mu)
         return bool(corr[0] >= corr[1:].max() - spec.epsilon - GOAL_ATOL)
     if spec.kind == "compr":
-        if mu.label_kind != "binary":
-            raise ValueError("regression_loss requires a binary-label distribution")
         rows = _support_rows(_real_values(model), bench, mu.xs, real=True)
         if np.isnan(rows[1:]).any():
             raise ValueError("compr benchmark members must be defined on the support (no *)")
-        loss = (mu.ps * _loss_rows(spec.loss, mu.ys, rows)).sum(axis=1)
+        loss = _loss_rows(spec.loss, rows, mu)
         return bool(loss[0] <= loss[1:].min() + spec.epsilon + GOAL_ATOL)
     raise ValueError(f"unknown task kind {spec.kind!r}")
 

@@ -30,11 +30,13 @@ from .core import (
     NoConsistentHypothesisError,
     RealClass,
     RealModel,
+    _binarize_matrix,
     _is_binary,
     agreement_class,
     binarize_class,
     chi_arr,
     discretize_labels,
+    gen_product_arr,
     multi_agreement_class,
     pi_proj_arr,
     proj_interval_arr,
@@ -334,25 +336,15 @@ def exact_weak_oracle(
     t = max_threshold_index(eta2)
 
     def fn(S: RealClass, B: RealClass, data: Dataset, rng=None) -> BinaryModel:
-        domain = B.domain
-        n = len(data)
-        cand_rows = []
-        for j in range(-t, t + 1):
-            Bj = binarize_class(B, eta2, 2.0 * eta2 * j)
-            cand_rows.extend(Bj.matrix[i] for i in range(len(Bj)))
-        cand_rows.append(np.ones(domain.size, dtype=np.int8))
-        cand_rows.append(-np.ones(domain.size, dtype=np.int8))
-        cands = np.stack(cand_rows)
-        if n == 0:
-            return BinaryModel(domain, _complete(cands[0]))
-        vals = cands[:, data.xs].astype(np.float64)  # (C, n), 0 encodes *
-        star = cands[:, data.xs] == 0
-        scores = np.where(star, -np.abs(data.ys)[None, :], data.ys[None, :] * vals)
-        best = int(np.argmax(scores.sum(axis=1)))
-        row = cands[best]
-        star_mass = float(data.ys[row[data.xs] == 0].sum())
-        fill = np.int8(1) if star_mass >= 0 else np.int8(-1)
-        return BinaryModel(domain, np.where(row == 0, fill, row).astype(np.int8))
+        size = B.domain.size
+        thresholds = 2.0 * eta2 * np.arange(-t, t + 1)
+        binarized = _binarize_matrix(B.matrix, eta2, thresholds[:, None, None]).reshape(-1, size)
+        cands = np.concatenate((binarized, np.array([[1], [-1]], dtype=np.int8).repeat(size, axis=1)))
+        vals = cands[:, data.xs]
+        scores = gen_product_arr(data.ys, np.where(vals == 0, np.nan, vals)).sum(axis=1)
+        row = cands[int(np.argmax(scores))]
+        fill = 1 if data.ys[row[data.xs] == 0].sum() >= 0 else -1
+        return BinaryModel(B.domain, np.where(row == 0, fill, row))
 
     return WeakOracle(fn, alpha=alpha, gamma=gamma, delta1=delta1, n0=n0)
 

@@ -20,7 +20,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    BinaryClass,
     BinaryHypothesis,
     BinaryModel,
     ConfigError,
@@ -30,6 +29,7 @@ from .core import (
     RealModel,
     as_real_class,
     as_real_hypothesis,
+    gen_product_arr,
     sign_arr,
 )
 
@@ -243,51 +243,72 @@ def _binary_values(h) -> np.ndarray:
 def _real_values(h) -> np.ndarray:
     if isinstance(h, (RealHypothesis, RealModel)):
         return h.values
-    if isinstance(h, (BinaryHypothesis,)):
-        return as_real_hypothesis(h).values
-    if isinstance(h, BinaryModel):
-        return h.values.astype(np.float64)
+    if isinstance(h, (BinaryHypothesis, BinaryModel)):
+        return np.where(h.values == 0, np.nan, h.values)
     raise TypeError(f"expected a hypothesis or model, got {type(h).__name__}")
+
+
+def _total_values(f) -> np.ndarray:
+    """The real values of ``f``, which must be a total model (no *)."""
+    vals = _real_values(f)
+    if np.isnan(vals).any():
+        raise ValueError(f"expected a total model, got * values in {type(f).__name__}")
+    return vals
+
+
+# Row functionals score an (R, |support|) array of values gathered on
+# ``dist.xs``, one value per row; the scalar functionals are the one-row case.
+
+
+def _error_rows(rows: np.ndarray, dist: DiscreteDistribution) -> np.ndarray:
+    """Pr[b(x) != y] per row of binary values, with * (0) counting as a mistake."""
+    if dist.label_kind != "binary":
+        raise ValueError("class_error requires a binary-label distribution")
+    return np.where(rows != dist.ys.astype(np.int8), dist.ps, 0.0).sum(axis=1)
+
+
+def _corr_rows(rows: np.ndarray, dist: DiscreteDistribution) -> np.ndarray:
+    """E[y <> b(x)] per row of real values, NaN encoding * (* costs -|y|)."""
+    return (dist.ps * gen_product_arr(dist.ys, rows)).sum(axis=1)
+
+
+def _loss_rows(loss, rows: np.ndarray, dist: DiscreteDistribution) -> np.ndarray:
+    """E[loss(y, b(x))] per row of real values, calling ``loss`` once per
+    label in {-1, +1} and distinct value."""
+    if dist.label_kind != "binary":
+        raise ValueError("regression_loss requires a binary-label distribution")
+    values, index = np.unique(rows, return_inverse=True)
+    table = np.array([[loss(y, q) for q in values] for y in (-1.0, 1.0)])
+    return (dist.ps * table[(dist.ys > 0).astype(np.intp), index.reshape(rows.shape)]).sum(axis=1)
 
 
 def class_error(h, dist: DiscreteDistribution) -> float:
     """Pr[h(x) != y] with * counting as a mistake; binary-label law required."""
-    if dist.label_kind != "binary":
-        raise ValueError("class_error requires a binary-label distribution")
-    vals = _binary_values(h)
-    mism = vals[dist.xs] != dist.ys.astype(np.int8)
-    return float(dist.ps[mism].sum())
+    return float(_error_rows(_binary_values(h)[None, dist.xs], dist)[0])
 
 
 def correlation(f, dist: DiscreteDistribution) -> float:
     """E[y f(x)] for a total model."""
-    vals = _real_values(f)
-    if np.isnan(vals).any():
-        raise ValueError("correlation requires a total model")
-    return float(np.sum(dist.ps * dist.ys * vals[dist.xs]))
+    return float(_corr_rows(_total_values(f)[None, dist.xs], dist)[0])
 
 
 def corr_partial(b, dist: DiscreteDistribution) -> float:
     """E[y <> b(x)] with the generalized product (* costs -|y|)."""
-    vals = _real_values(b)
-    bx = vals[dist.xs]
-    star = np.isnan(bx)
-    terms = np.where(star, -np.abs(dist.ys), dist.ys * np.where(star, 0.0, bx))
-    return float(np.sum(dist.ps * terms))
+    return float(_corr_rows(_real_values(b)[None, dist.xs], dist)[0])
 
 
 def _residual_star_terms(f, B, dist):
-    """Per-member sums of p*(f-y)*b over defined points and p*|f-y| over *."""
-    fvals = _real_values(f)
-    Bm = as_real_class(B) if isinstance(B, BinaryClass) else B
-    if Bm.is_empty:
+    """Per-member p*(f-y)*b over defined points and p*|f-y| over *, and f on
+    the support; ``f`` must be total."""
+    fx = _total_values(f)[dist.xs]
+    if B.is_empty:
         raise ValueError("benchmark class must be nonempty")
-    res = fvals[dist.xs] - dist.ys  # (N,)
-    bx = Bm.matrix[:, dist.xs]  # (mB, N)
+    res = fx - dist.ys  # (N,)
+    bx = as_real_class(B).matrix[:, dist.xs]  # (mB, N)
     star = np.isnan(bx)
     defined_contrib = dist.ps * res * np.where(star, 0.0, bx)
     star_contrib = dist.ps * np.abs(res) * star
-    return defined_contrib, star_contrib, res
+    return defined_contrib, star_contrib, fx
 
 
 def ma_error(f, B, dist: DiscreteDistribution) -> float:
@@ -308,9 +329,11 @@ def _level_sums(arr: np.ndarray, labels: np.ndarray):
         yield v, arr[..., labels == v].sum(axis=-1)
 
 
-def _mc_total(f, B, dist: DiscreteDistribution, labels: np.ndarray) -> float:
-    """Sup over members of the sum over levels of |defined sum| - * mass."""
-    defined, starred, _ = _residual_star_terms(f, B, dist)
+def _mc_total(f, B, dist: DiscreteDistribution, partition: IntervalPartition | None) -> float:
+    """Sup over members of the sum over levels of |defined sum| - * mass; the
+    levels are the model's values, or its cells of ``partition``."""
+    defined, starred, fx = _residual_star_terms(f, B, dist)
+    labels = fx if partition is None else partition.cell_indices(fx)
     totals = np.zeros(defined.shape[0])
     for _, (level_defined, level_starred) in _level_sums(np.stack([defined, starred]), labels):
         totals += np.abs(level_defined) - level_starred
@@ -323,36 +346,32 @@ def mc_error(f, B, dist: DiscreteDistribution) -> float:
     The sign is chosen per level inside the sum; the sup over members is
     outside.
     """
-    return _mc_total(f, B, dist, _real_values(f)[dist.xs])
+    return _mc_total(f, B, dist, None)
 
 
 def mc_error_lambda(
     f, B, dist: DiscreteDistribution, partition: IntervalPartition
 ) -> float:
     """Multicalibration error over a fixed interval partition of [-1, 1]."""
-    return _mc_total(f, B, dist, partition.cell_indices(_real_values(f)[dist.xs]))
+    return _mc_total(f, B, dist, partition)
 
 
 def cal_error(f, dist: DiscreteDistribution) -> float:
     """Overall calibration error: sum over levels of |E[(y - f)1(f = v)]|."""
-    fvals = _real_values(f)[dist.xs]
+    fvals = _total_values(f)[dist.xs]
     resid = dist.ps * (dist.ys - fvals)
     return sum(abs(float(total)) for _, total in _level_sums(resid, fvals))
 
 
 def sign_cal_error(f, dist: DiscreteDistribution) -> float:
     """|E[(y - f(x)) sign(f(x))]|."""
-    fvals = _real_values(f)[dist.xs]
+    fvals = _total_values(f)[dist.xs]
     return abs(float(np.sum(dist.ps * (dist.ys - fvals) * sign_arr(fvals))))
 
 
 def regression_loss(f, loss, dist: DiscreteDistribution) -> float:
     """E[loss(y, f(x))] for a binary-label distribution."""
-    if dist.label_kind != "binary":
-        raise ValueError("regression_loss requires a binary-label distribution")
-    fvals = _real_values(f)[dist.xs]
-    vals = np.array([loss(y, q) for y, q in zip(dist.ys, fvals)])
-    return float(np.sum(dist.ps * vals))
+    return float(_loss_rows(loss, _real_values(f)[None, dist.xs], dist)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -370,3 +370,53 @@ def test_eval_regression_loss(tmp_path):
     write_json(mp, model_to_json(f))
     assert main(["eval", "--functional", "regression_loss", "--model", str(mp),
                  "--dist", str(dp), "--loss", "squared"]) == 0
+
+
+@pytest.fixture
+def eval_files(tmp_path):
+    d = Domain(2)
+    write_json(tmp_path / "mu.json", DiscreteDistribution(d, [(0, 1.0, 0.5), (1, -1.0, 0.5)], "binary").to_json())
+    write_json(tmp_path / "real.json", {"domain": {"size": 2}, "kind": "real", "values": [0.5, -0.5]})
+    write_json(tmp_path / "binary.json", {"domain": {"size": 2}, "kind": "binary", "values": [1, -1]})
+    write_json(tmp_path / "B.json", class_to_json(BinaryClass(d, [[1, -1]])))
+    write_json(tmp_path / "empty.json", class_to_json(BinaryClass(d, [])))
+    for name, values in (("frac", [1.5, -1]), ("wrap", [1, 255]), ("overflow", [1, 128])):
+        write_json(tmp_path / f"{name}.json", {"domain": {"size": 2}, "kind": "binary", "values": values})
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "functional, files, message",
+    [
+        ("ma_error", {"benchmark": "B"}, "ma_error needs --model"),
+        ("class_error", {}, "class_error needs --model"),
+        ("mc_error", {"model": "real"}, "mc_error needs --benchmark"),
+        ("corr_partial", {}, "corr_partial needs --benchmark"),
+        ("corr_partial", {"benchmark": "empty"}, "corr_partial needs a nonempty --benchmark"),
+        ("ma_error", {"model": "real", "benchmark": "empty"}, "ma_error needs a nonempty --benchmark"),
+        ("class_error", {"model": "real"}, "class_error needs a binary --model"),
+        ("class_error", {"model": "frac"}, "binary model values"),
+        ("class_error", {"model": "wrap"}, "binary model values"),
+        ("ma_error", {"model": "overflow", "benchmark": "B"}, "binary model values"),
+    ],
+)
+def test_eval_bad_inputs_exit_2(capsys, eval_files, functional, files, message):
+    argv = ["eval", "--functional", functional, "--dist", str(eval_files / "mu.json")]
+    for option, name in files.items():
+        argv += [f"--{option}", str(eval_files / f"{name}.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_eval_every_functional_runs(capsys, eval_files):
+    from comparelearn.cli import _FUNCTIONALS
+
+    for name, (reads, _) in _FUNCTIONALS.items():
+        argv = ["eval", "--functional", name, "--dist", str(eval_files / "mu.json")]
+        if "model" in reads:
+            argv += ["--model", str(eval_files / "binary.json")]
+        if "benchmark" in reads:
+            argv += ["--benchmark", str(eval_files / "B.json")]
+        code, out = run_main(capsys, argv)
+        assert code == 0 and out["functional"] == name

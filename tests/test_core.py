@@ -218,6 +218,28 @@ def test_models_must_be_total():
         validate_sign_vector([1, 0], 2)
 
 
+@pytest.mark.parametrize("bad", [[1.5, -1], np.array([1, 255]), [1, 128], np.array([1.0, -0.5])])
+def test_binary_values_checked_before_int8_cast(bad):
+    # a non-label must not be cast to int8 first: 1.5 truncates to +1, 255
+    # wraps to -1 and 128 overflows
+    d = Domain(2)
+    with pytest.raises(ValueError, match=r"binary model values must be -1 or \+1"):
+        BinaryModel(d, bad)
+    with pytest.raises(ValueError, match=r"binary labels must be -1, \+1 or \*"):
+        BinaryClass(d, np.array([bad]))
+    with pytest.raises(ValueError, match=r"sign vector entries must be -1 or \+1"):
+        validate_sign_vector(bad, 2)
+
+
+def test_binary_values_accept_exact_labels_of_any_dtype():
+    d = Domain(3)
+    for arr in ([1, -1, 1], np.array([1.0, -1.0, 1.0]), np.array([1, -1, 1], dtype=np.int64)):
+        assert BinaryModel(d, arr).values.dtype == np.int8
+        assert BinaryModel(d, arr).values.tolist() == [1, -1, 1]
+    C = BinaryClass(d, np.array([[1.0, 0.0, -1.0], [1.0, 0.0, -1.0]]))
+    assert C.matrix.dtype == np.int8 and C.matrix.tolist() == [[1, 0, -1]]
+
+
 def test_immutability():
     d = Domain(2)
     h = BinaryHypothesis(d, [1, -1])
@@ -431,6 +453,14 @@ def test_chi_piecewise_constant_with_partition_breakpoints():
     for u in (-1.0, -0.5, 0.0, 0.25, 1.0):
         idx = part.cell_index(u)
         assert 0 <= idx < 4
+
+
+def test_partition_cell_indices_reject_star():
+    part = IntervalPartition(3)
+    assert part.cell_indices(np.array([-1.0, 0.0, 1.0])).tolist() == [0, 1, 2]
+    for bad in ([0.5, np.nan], [1.5]):
+        with pytest.raises(ValueError, match=r"values must lie in \[-1, 1\]"):
+            part.cell_indices(np.array(bad))
 
 
 def test_partition_cells_cover_exactly():

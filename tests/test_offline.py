@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comparelearn import (
     STAR,
@@ -390,6 +392,66 @@ def test_exact_weak_oracle_star_completion():
     out = oracle(S, B, data)
     # star region completed by the constant matching its empirical labels
     assert out.values.tolist() == [1, 1, -1, -1]
+
+
+def _reference_weak_oracle(B, data, eta2):
+    """The exact weak oracle built as before: one deduplicated binarized class
+    per threshold, its rows stacked with the two constants."""
+    t = max_threshold_index(eta2)
+    cand_rows = []
+    for j in range(-t, t + 1):
+        Bj = binarize_class(B, eta2, 2.0 * eta2 * j)
+        cand_rows.extend(Bj.matrix[i] for i in range(len(Bj)))
+    cand_rows.append(np.ones(B.domain.size, dtype=np.int8))
+    cand_rows.append(-np.ones(B.domain.size, dtype=np.int8))
+    cands = np.stack(cand_rows)
+    if len(data) == 0:
+        return np.where(cands[0] == 0, 1, cands[0]).astype(np.int8)
+    vals = cands[:, data.xs].astype(np.float64)
+    star = cands[:, data.xs] == 0
+    scores = np.where(star, -np.abs(data.ys)[None, :], data.ys[None, :] * vals)
+    row = cands[int(np.argmax(scores.sum(axis=1)))]
+    fill = 1 if float(data.ys[row[data.xs] == 0].sum()) >= 0 else -1
+    return np.where(row == 0, fill, row).astype(np.int8)
+
+
+@st.composite
+def weak_oracle_cases(draw):
+    n = draw(st.integers(1, 6))
+    eta2 = draw(st.sampled_from([0.45, 0.3, 0.2, 0.15, 0.1, 0.05]))
+    value = st.sampled_from([-1.0, -0.6, -0.3, -0.1, 0.0, 0.1, 0.25, 0.5, 0.9, 1.0, np.nan])
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), max_size=6))
+    if rows and draw(st.booleans()):  # repeat members
+        rows = rows + draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4))
+    B = RealClass(Domain(n), np.array(rows, dtype=np.float64).reshape(len(rows), n), dedup=False)
+    labels = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0] if draw(st.booleans()) else [-1.0, 1.0])
+    points = draw(st.lists(st.tuples(st.integers(0, n - 1), labels), max_size=12))
+    data = Dataset(np.array([x for x, _ in points], dtype=np.int64),
+                   np.array([y for _, y in points], dtype=np.float64))
+    return B, data, eta2
+
+
+@settings(max_examples=400, deadline=None)
+@given(weak_oracle_cases())
+def test_exact_weak_oracle_matches_per_threshold_construction(case):
+    B, data, eta2 = case
+    out = exact_weak_oracle(eta2=eta2, alpha=0.5, gamma=0.25)(B, B, data)
+    assert out.values.tobytes() == _reference_weak_oracle(B, data, eta2).tobytes()
+
+
+def test_exact_weak_oracle_builds_no_class(monkeypatch):
+    d = Domain(4)
+    B = RealClass(d, [[1.0, 0.2, STAR, -0.7], [-1.0, 0.4, 0.0, 0.9]])
+    data = Dataset(np.array([0, 1, 2, 3, 1]), np.array([1.0, -1.0, 0.5, -1.0, 1.0]))
+    oracle = exact_weak_oracle(eta2=0.15, alpha=0.5, gamma=0.25)
+    expected = _reference_weak_oracle(B, data, 0.15)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle built a hypothesis class")
+
+    monkeypatch.setattr(BinaryClass, "__init__", refuse)
+    monkeypatch.setattr(RealClass, "__init__", refuse)
+    assert oracle(B, B, data).values.tobytes() == expected.tobytes()
 
 
 def test_weak_from_strong_contract():

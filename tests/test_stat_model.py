@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comparelearn import (
     STAR,
@@ -30,9 +32,21 @@ from comparelearn import (
     mc_error_lambda,
     regression_loss,
     rng_stream,
+    sign_cal_error,
 )
+from comparelearn.core import as_real_hypothesis, gen_product_arr
+from comparelearn.experiments import _support_rows
 from comparelearn.offline import round_model, squared_loss
-from comparelearn.stat_model import BER_STAR, CUSTOM, DETERMINISTIC, load_dataset, save_dataset
+from comparelearn.stat_model import (
+    BER_STAR,
+    CUSTOM,
+    DETERMINISTIC,
+    _corr_rows,
+    _error_rows,
+    _loss_rows,
+    load_dataset,
+    save_dataset,
+)
 from conftest import (
     random_binary_class,
     random_binary_distribution,
@@ -438,3 +452,141 @@ def test_rng_stream_replay():
     c = rng_stream(9, 1, 3).random(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# --- MA/MC/calibration functionals need a total predictor ----------------------
+
+
+@pytest.mark.parametrize(
+    "functional",
+    [
+        lambda f, B, dist: ma_error(f, B, dist),
+        lambda f, B, dist: mc_error(f, B, dist),
+        lambda f, B, dist: mc_error_lambda(f, B, dist, IntervalPartition(2)),
+        lambda f, B, dist: cal_error(f, dist),
+        lambda f, B, dist: sign_cal_error(f, dist),
+    ],
+    ids=["ma_error", "mc_error", "mc_error_lambda", "cal_error", "sign_cal_error"],
+)
+def test_residual_functionals_reject_partial_predictor(functional):
+    # mc_error and cal_error used to drop the * point (0.75), the others gave NaN
+    d = Domain(2)
+    dist = DiscreteDistribution(d, [(0, 1.0, 0.5), (1, 1.0, 0.5)], "binary")
+    B = RealClass(d, [[1.0, 1.0]])
+    with pytest.raises(ValueError, match="total model"):
+        functional(RealHypothesis(d, [STAR, 0.5]), B, dist)
+    assert np.isfinite(functional(RealHypothesis(d, [0.0, 0.5]), B, dist))
+
+
+# --- the scalar functionals are the one-row case of the row functionals --------
+#
+# The reference formulas below are the scalar functionals as they were written
+# before the row functionals existed.
+
+
+def _ref_class_error(vals, dist):
+    return float(dist.ps[vals[dist.xs] != dist.ys.astype(np.int8)].sum())
+
+
+def _ref_correlation(vals, dist):
+    return float(np.sum(dist.ps * dist.ys * vals[dist.xs]))
+
+
+def _ref_corr_partial(vals, dist):
+    bx = vals[dist.xs]
+    star = np.isnan(bx)
+    terms = np.where(star, -np.abs(dist.ys), dist.ys * np.where(star, 0.0, bx))
+    return float(np.sum(dist.ps * terms))
+
+
+def _ref_regression_loss(vals, loss, dist):
+    per_atom = np.array([loss(y, q) for y, q in zip(dist.ys, vals[dist.xs])])
+    return float(np.sum(dist.ps * per_atom))
+
+
+def _ref_loss_table(loss, ys, rows):
+    values, index = np.unique(rows, return_inverse=True)
+    table = np.array([[loss(y, q) for q in values] for y in (-1.0, 1.0)])
+    return table[(ys > 0).astype(np.intp), index.reshape(rows.shape)]
+
+
+def _same(a, b):
+    """Equal bit for bit (NaN included)."""
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+FUNCTIONAL_VALUES = (-1.0, -0.5, -0.25, 0.0, 1.0 / 3.0, 0.5, 0.7, 1.0)
+SQUARED = squared_loss()
+
+
+@st.composite
+def functional_cases(draw):
+    n = draw(st.integers(1, 40))
+    d = Domain(n)
+    real_labels = draw(st.booleans())
+    label = st.sampled_from(FUNCTIONAL_VALUES if real_labels else (-1.0, 1.0))
+    atoms = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), label, st.integers(1, 99)), min_size=1, max_size=40)
+    )
+    total = sum(w for _, _, w in atoms)
+    dist = DiscreteDistribution(
+        d, [(x, y, w / total) for x, y, w in atoms], "real" if real_labels else "binary"
+    )
+    rows = draw(st.integers(1, 5))
+    binary = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=rows * n, max_size=rows * n)))
+    real = np.array(draw(st.lists(st.sampled_from(FUNCTIONAL_VALUES + (np.nan,)), min_size=rows * n,
+                                  max_size=rows * n)))
+    model = np.array(draw(st.lists(st.sampled_from(FUNCTIONAL_VALUES), min_size=n, max_size=n)))
+    return d, dist, binary.reshape(rows, n).astype(np.int8), real.reshape(rows, n), model
+
+
+@settings(max_examples=300, deadline=None)
+@given(functional_cases())
+def test_scalar_functionals_match_reference_formulas(case):
+    d, dist, binary, real, model = case
+    bound = dist.xs.size * 2.0**-52
+    xs = dist.xs
+    f = RealModel(d, model)
+    if dist.label_kind == "binary":
+        # * counted wrong: a masked sum before, a where-sum of the row functional now
+        for row in binary:
+            value = class_error(BinaryHypothesis(d, row), dist)
+            assert value == _error_rows(row[None, xs], dist)[0]
+            assert abs(value - _ref_class_error(row, dist)) <= bound
+        for row in real:
+            h = RealHypothesis(d, row)
+            assert _same(regression_loss(h, SQUARED, dist), _ref_regression_loss(h.values, SQUARED, dist))
+        assert correlation(f, dist) == _ref_correlation(model, dist)
+    else:
+        # (p y) f before, p (y f) now
+        value = correlation(f, dist)
+        assert value == _corr_rows(model[None, xs], dist)[0]
+        assert abs(value - _ref_correlation(model, dist)) <= bound
+    for row in real:
+        h = RealHypothesis(d, row)
+        assert corr_partial(h, dist) == _ref_corr_partial(h.values, dist)
+    for row in binary:
+        h = BinaryHypothesis(d, row)
+        assert corr_partial(h, dist) == _ref_corr_partial(as_real_hypothesis(h).values, dist)
+
+
+@settings(max_examples=300, deadline=None)
+@given(functional_cases())
+def test_goal_rows_match_reference_formulas(case):
+    d, dist, binary, real, model = case
+    loss = SQUARED
+    # the n* goal's gather: row 0 the model, then the members on the support
+    B, R = BinaryClass(d, binary, dedup=False), RealClass(d, real, dedup=False)
+    f, fb = RealModel(d, model), BinaryModel(d, np.where(model >= 0, 1, -1))
+    if dist.label_kind == "binary":
+        rows = _support_rows(fb.values, B, dist.xs, real=False)
+        ref = np.where(rows != dist.ys.astype(np.int8), dist.ps, 0.0).sum(axis=1)
+        assert _same(_error_rows(rows, dist), ref)
+        for C in (B, R):
+            rows = _support_rows(f.values, C, dist.xs, real=True)
+            ref = (dist.ps * _ref_loss_table(loss, dist.ys, rows)).sum(axis=1)
+            assert _same(_loss_rows(loss, rows, dist), ref)
+    for C in (B, R):
+        rows = _support_rows(f.values, C, dist.xs, real=True)
+        ref = (dist.ps * gen_product_arr(dist.ys, rows)).sum(axis=1)
+        assert _same(_corr_rows(rows, dist), ref)
