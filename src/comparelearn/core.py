@@ -625,15 +625,13 @@ def agreement(s: BinaryHypothesis, b: BinaryHypothesis) -> BinaryHypothesis:
 
 
 def _agreement_matrix(ms: np.ndarray, mb: np.ndarray) -> np.ndarray:
-    """All pairwise agreements of rows of ms with rows of mb (with duplicates)."""
-    blocks = []
-    for i in range(ms.shape[0]):
-        row = ms[i]
-        eq = (mb == row) & (row != 0)
-        blocks.append(np.where(eq, row, _BINARY_STAR).astype(np.int8))
-    if not blocks:
-        return np.empty((0, ms.shape[1]), dtype=np.int8)
-    return np.concatenate(blocks, axis=0)
+    """All pairwise agreements of rows of ms with rows of mb (with duplicates).
+
+    Row i * len(mb) + j is a_{ms[i], mb[j]}; where both rows are * the kept
+    value is * already, so equality alone decides.
+    """
+    out = np.where(ms[:, None, :] == mb[None, :, :], ms[:, None, :], _BINARY_STAR)
+    return out.astype(np.int8, copy=False).reshape(ms.shape[0] * mb.shape[0], ms.shape[1])
 
 
 def agreement_class(S: BinaryClass, B: BinaryClass) -> BinaryClass:

@@ -37,7 +37,7 @@ from .core import (
 )
 from .offline import (
     LossFunction,
-    agreement_class,
+    comparative_learn,
     erm_agnostic,
     squared_loss,
 )
@@ -51,7 +51,6 @@ from .stat_model import (
     _corr_rows,
     _error_rows,
     _loss_rows,
-    _real_values,
     _total_values,
     make_distribution,
     rng_stream,
@@ -118,7 +117,7 @@ def goal_satisfied(spec: TaskSpec, model, mu: DiscreteDistribution) -> bool:
         corr = _corr_rows(_support_rows(_total_values(model), bench, mu.xs, real=True), mu)
         return bool(corr[0] >= corr[1:].max() - spec.epsilon - GOAL_ATOL)
     if spec.kind == "compr":
-        rows = _support_rows(_real_values(model), bench, mu.xs, real=True)
+        rows = _support_rows(_total_values(model), bench, mu.xs, real=True)
         if np.isnan(rows[1:]).any():
             raise ValueError("compr benchmark members must be defined on the support (no *)")
         loss = _loss_rows(spec.loss, rows, mu)
@@ -566,7 +565,7 @@ def estimate_sample_complexity(
 def default_learner_factory(spec: TaskSpec):
     """The stock learner for a scenario: the construction's zero-sample
     baseline when it has one (the forward constructions), otherwise
-    agreement-class ERM for comparative learning."""
+    agreement-class ERM (``comparative_learn``) for comparative learning."""
     if spec.baseline_model is not None:
         baseline = spec.baseline_model
 
@@ -575,10 +574,10 @@ def default_learner_factory(spec: TaskSpec):
 
         return learn_const
     if spec.kind == "compl":
-        A = agreement_class(spec.source, spec.benchmark)
+        S, B = spec.source, spec.benchmark
 
         def learn(data: Dataset, rng) -> BinaryModel:
-            return erm_agnostic(A, data)
+            return comparative_learn(S, B, data)
 
         return learn
     raise ValueError(

@@ -30,6 +30,7 @@ from .core import (
     NoConsistentHypothesisError,
     RealClass,
     RealModel,
+    _agreement_matrix,
     _binarize_matrix,
     _is_binary,
     agreement_class,
@@ -174,10 +175,25 @@ def erm_realizable(H: BinaryClass, data: Dataset) -> BinaryModel:
 
 
 def comparative_learn(S: BinaryClass, B: BinaryClass, data: Dataset) -> BinaryModel:
-    """Comparative learning via agnostic ERM over the agreement class."""
+    """Comparative learning via agnostic ERM over the agreement class {a_{s,b}}.
+
+    The class is never built.  a_{s,b} is right at (x, y) exactly when
+    s(x) = y and b(x) = y, since * is never right, so the correct counts of all
+    pairs are one product ``(S[:, xs] == ys) @ (B[:, xs] == ys).T`` (exact in
+    float64).  ``agreement_class`` keeps first occurrences in i-major order, so
+    its lowest-index ERM member is a_{s,b} of the row-major first maximizing
+    pair; with no data that is the pair (0, 0).
+    """
     if S.is_empty or B.is_empty:
         raise ValueError("comparative learning requires nonempty classes")
-    return erm_agnostic(agreement_class(S, B), data)
+    if S.domain.size != B.domain.size:
+        raise ValueError("classes must share a domain")
+    ys = _require_binary_labels(data)
+    right_s = (S.matrix[:, data.xs] == ys).astype(np.float64)
+    right_b = (B.matrix[:, data.xs] == ys).astype(np.float64)
+    i, j = np.unravel_index(np.argmax(right_s @ right_b.T), (len(S), len(B)))
+    a = _agreement_matrix(S.matrix[i : i + 1], B.matrix[j : j + 1])[0]
+    return BinaryModel(S.domain, _complete(a))
 
 
 def agreement_learn(classes: Sequence[BinaryClass], data: Dataset) -> BinaryModel:

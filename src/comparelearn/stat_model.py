@@ -91,9 +91,9 @@ class DiscreteDistribution:
                 raise ValueError(f"support index {x} outside domain")
             if label_kind == "binary" and y not in (-1.0, 1.0):
                 raise ValueError(f"binary label must be -1 or +1, got {y}")
-            if abs(y) > 1.0:
+            if not abs(y) <= 1.0:
                 raise ValueError(f"label must lie in [-1, 1], got {y}")
-            if p <= 0:
+            if not p > 0:
                 raise ValueError("masses must be positive")
             merged[(x, y + 0.0)] = merged.get((x, y + 0.0), 0.0) + p
         if not merged:

@@ -202,6 +202,20 @@ def test_online_replay_outputs(tmp_path, class_files):
     assert len(lines) == 31
 
 
+def test_eval_nan_distribution_exit_2(capsys, tmp_path):
+    mp = tmp_path / "f.json"
+    write_json(mp, {"domain": {"size": 2}, "kind": "real", "values": [0.5, -0.5]})
+    for support, message in (
+        ([[0, float("nan"), 0.5], [1, 1.0, 0.5]], "label must lie in [-1, 1]"),
+        ([[0, 1.0, float("nan")], [1, 1.0, 0.5]], "masses must be positive"),
+    ):
+        dp = tmp_path / "mu.json"
+        write_json(dp, {"domain": {"size": 2}, "kind": "real", "support": support})
+        assert main(["eval", "--functional", "correlation", "--model", str(mp), "--dist", str(dp)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
 def test_online_tree_adversary(tmp_path, capsys):
     from itertools import product as iproduct
 

@@ -36,7 +36,7 @@ from comparelearn import (
     sigma_mask_class,
     sign,
 )
-from comparelearn.core import _dedup_rows, validate_sign_vector
+from comparelearn.core import _agreement_matrix, _dedup_rows, validate_sign_vector
 from conftest import random_binary_class, random_real_class, random_real_model
 
 from comparelearn import rng_stream
@@ -338,6 +338,29 @@ def test_agreement_class_matches_bruteforce_table():
         for j in range(len(B)):
             table.add(tuple(agreement(S.member(i), B.member(j)).labels()))
     assert {tuple(m.labels()) for m in A.members()} == table
+
+
+def _agreement_matrix_loop(ms, mb):
+    """Reference: one block of agreements per row of ms, in i-major order."""
+    blocks = [np.where((mb == row) & (row != 0), row, 0).astype(np.int8) for row in ms]
+    return np.concatenate(blocks, axis=0) if blocks else np.empty((0, ms.shape[1]), np.int8)
+
+
+@st.composite
+def label_matrix_pairs(draw):
+    n = draw(st.integers(1, 6))
+    rows = st.lists(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n), max_size=6)
+    return tuple(np.array(draw(rows), dtype=np.int8).reshape(-1, n) for _ in range(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_matrix_pairs())
+def test_agreement_matrix_matches_row_loop(pair):
+    ms, mb = pair
+    out = _agreement_matrix(ms, mb)
+    expected = _agreement_matrix_loop(ms, mb)
+    assert out.dtype == np.int8 and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_self_agreement_keeps_stars():

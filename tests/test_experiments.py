@@ -256,6 +256,11 @@ def test_goal_keeps_label_law_and_totality_checks():
     spec = TaskSpec("t", "corm", real, real, 0.0, 0.0)
     with pytest.raises(ValueError, match="total model"):
         goal_satisfied(spec, RealHypothesis(domain, [0.5, np.nan]), real_law)
+    ones = RealClass(domain, [[1.0, 1.0]])
+    plus = DiscreteDistribution(domain, [(0, 1.0, 0.5), (1, 1.0, 0.5)], "binary")
+    spec = TaskSpec("t", "compr", ones, ones, 1.0, 0.0, loss=squared_loss())
+    with pytest.raises(ValueError, match="total model"):
+        goal_satisfied(spec, RealHypothesis(domain, [1.0, np.nan]), plus)
 
 
 # --- estimator -------------------------------------------------------------------

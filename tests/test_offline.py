@@ -62,6 +62,7 @@ from comparelearn import (
     tau,
     weak_from_strong,
 )
+from comparelearn.core import _agreement_matrix
 from comparelearn.dimensions import sup_theta_mutual_vc, theta_candidates
 from comparelearn.offline import (
     boosting_plan,
@@ -182,6 +183,72 @@ def test_agreement_learn_is_multi_class_erm():
     assert agreement_learn(classes, data) == erm_agnostic(
         multi_agreement_class(classes), data
     )
+
+
+@st.composite
+def agreement_cases(draw, k_min, k_max):
+    """Partial classes with repeated and all-* rows, on a few labeled points.
+
+    Few points, few values and a reordered copy of a class force ties between
+    pairs; the sample may be empty.
+    """
+    n = draw(st.integers(1, 5))
+    label = st.sampled_from([-1, 0, 1])
+
+    def binary_class():
+        rows = draw(st.lists(st.lists(label, min_size=n, max_size=n), min_size=1, max_size=5))
+        if draw(st.booleans()):
+            rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+        if draw(st.booleans()):
+            rows += draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+        matrix = np.array(rows, dtype=np.int8)
+        return BinaryClass(Domain(n), matrix, dedup=draw(st.booleans()))
+
+    classes = [binary_class() for _ in range(draw(st.integers(k_min, k_max)))]
+    if draw(st.booleans()):  # a reordered copy of the first class: every s ties with its copy
+        rows = draw(st.permutations(list(classes[0].matrix)))
+        classes[-1] = BinaryClass(Domain(n), np.array(rows, dtype=np.int8))
+    # points off the sample separate pairs that tie on it
+    seen = draw(st.integers(1, n))
+    points = draw(st.lists(st.tuples(st.integers(0, seen - 1), st.sampled_from([-1.0, 1.0])), max_size=8))
+    data = Dataset(np.array([x for x, _ in points], dtype=np.int64),
+                   np.array([y for _, y in points], dtype=np.float64))
+    return classes, data
+
+
+@settings(max_examples=400, deadline=None)
+@given(agreement_cases(2, 2))
+def test_comparative_learn_matches_materialized_erm(case):
+    (S, B), data = case
+    out = comparative_learn(S, B, data)
+    assert out.values.tobytes() == erm_agnostic(agreement_class(S, B), data).values.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(agreement_cases(1, 4))
+def test_agreement_learn_matches_materialized_erm(case):
+    classes, data = case
+    out = agreement_learn(classes, data)
+    assert out.values.tobytes() == erm_agnostic(multi_agreement_class(classes), data).values.tobytes()
+
+
+def test_comparative_learn_builds_no_agreement_class(monkeypatch):
+    d = Domain(4)
+    S = BinaryClass(d, [[1, STAR, -1, 1], [-1, 1, 1, STAR], [1, 1, 1, 1]])
+    B = BinaryClass(d, [[1, 1, STAR, -1], [-1, 1, 1, 1]])
+    data = Dataset(np.array([0, 1, 2, 3, 1]), np.array([1.0, 1.0, 1.0, -1.0, 1.0]))
+    expected = erm_agnostic(agreement_class(S, B), data)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the learner built the agreement class")
+
+    def one_pair(ms, mb):  # only the chosen a_{s,b} may be formed
+        assert ms.shape[0] == mb.shape[0] == 1
+        return _agreement_matrix(ms, mb)
+
+    monkeypatch.setattr("comparelearn.offline.agreement_class", refuse)
+    monkeypatch.setattr("comparelearn.offline._agreement_matrix", one_pair)
+    assert comparative_learn(S, B, data).values.tobytes() == expected.values.tobytes()
 
 
 def test_figure1_zero_data_comparative_learner_is_optimal():

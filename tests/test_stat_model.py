@@ -113,6 +113,10 @@ def test_distribution_mass_validation():
         DiscreteDistribution(d, [(0, 1.0, 0.6), (1, 1.0, 0.6)], "binary")
     with pytest.raises(ValueError):
         DiscreteDistribution(d, [(0, 0.5, 1.0)], "binary")
+    with pytest.raises(ValueError, match="masses must be positive"):
+        DiscreteDistribution(d, [(0, 1.0, math.nan), (1, 1.0, 1.0)], "real")
+    with pytest.raises(ValueError, match=r"label must lie in \[-1, 1\]"):
+        DiscreteDistribution(d, [(0, math.nan, 0.5), (1, 1.0, 0.5)], "real")
 
 
 def test_duplicate_atoms_merge():
