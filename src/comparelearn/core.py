@@ -5,9 +5,12 @@ individuals, a hypothesis is a dense label array over the domain, and a class
 is a deduplicated list of hypotheses.  Binary labels live in {-1, +1, *} and
 real labels in [-1, 1] or *, where * is the undefined label (it counts as a
 mistake against any true label).  Binary label arrays are stored as int8 with
-0 encoding *, real label arrays as float64 with NaN encoding *.
+0 encoding *, real label arrays as float64 with NaN encoding *; code reads *
+only through ``_star`` and ``_real_view``.
 
 All objects are immutable after construction and all operations are pure.
+Hypotheses, models and classes are equal when they are of the same type over
+the same domain size with the same label bytes.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def _encode_binary(labels, size: int) -> np.ndarray:
     for i, lab in enumerate(labels):
         if lab is STAR or lab == "*":
             out[i] = 0
-        elif lab in (-1, 1):
+        elif not isinstance(lab, bool) and lab in (-1, 1):  # JSON true is not +1
             out[i] = int(lab)
         else:
             raise ValueError(f"binary label must be -1, +1 or *, got {lab!r}")
@@ -107,6 +110,8 @@ def _encode_real(labels, size: int) -> np.ndarray:
     for i, lab in enumerate(labels):
         if lab is STAR or (isinstance(lab, str) and lab == "*"):
             out[i] = np.nan
+        elif isinstance(lab, bool) or not isinstance(lab, (int, float, np.integer, np.floating)):
+            raise ValueError(f"real label must be a number or *, got {lab!r}")
         else:
             v = float(lab)
             if math.isnan(v):
@@ -124,6 +129,16 @@ def _is_binary(arr: np.ndarray, star: bool = False) -> np.ndarray:
     return ok | (arr == 0) if star else ok
 
 
+def _star(arr: np.ndarray) -> np.ndarray:
+    """Elementwise: is the label the undefined label * (int8 0, float NaN)?"""
+    return arr == 0 if arr.dtype == np.int8 else np.isnan(arr)
+
+
+def _real_view(arr: np.ndarray) -> np.ndarray:
+    """Labels as float64: int8 +-1 with * (0) read as NaN; a float array as is."""
+    return np.where(_star(arr), np.nan, arr) if arr.dtype == np.int8 else arr
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -132,6 +147,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class _Immutable:
     __slots__ = ()
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def __copy__(self):
         return self
 
@@ -139,96 +157,71 @@ class _Immutable:
         return self
 
 
-class BinaryHypothesis(_Immutable):
+class _Labeling(_Immutable):
+    """A label array over a domain; ``_validated(values, size)`` returns a fresh copy."""
+
+    __slots__ = ("domain", "values")
+
+    def __init__(self, domain: Domain, values):
+        arr = self._validated(values, domain.size)
+        if arr.shape != (domain.size,):
+            raise ValueError(self._length_error)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "values", _freeze(arr))
+
+    def __eq__(self, other):
+        return (
+            type(self) is type(other)
+            and self.domain.size == other.domain.size
+            and self.values.tobytes() == other.values.tobytes()
+        )
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.domain.size, self.values.tobytes()))
+
+
+class _Hypothesis(_Labeling):
+    __slots__ = ()
+
+    _length_error = "label array length must equal domain size"
+
+    def label(self, x: int):
+        v = self.values[x]
+        return STAR if _star(v) else v.item()
+
+    def labels(self) -> list:
+        return [self.label(x) for x in range(self.domain.size)]
+
+    @property
+    def is_total(self) -> bool:
+        return not _star(self.values).any()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.labels()})"
+
+
+class BinaryHypothesis(_Hypothesis):
     """A partial binary labeling of a domain; values in {-1, +1, *}."""
 
-    __slots__ = ("domain", "values")
+    __slots__ = ()
 
-    def __init__(self, domain: Domain, labels):
+    @staticmethod
+    def _validated(labels, size):
         if isinstance(labels, np.ndarray) and labels.dtype == np.int8:
-            arr = labels.copy()
-            if arr.shape != (domain.size,):
-                raise ValueError("label array length must equal domain size")
-            if not _is_binary(arr, star=True).all():
-                raise ValueError("binary labels must be -1, +1 or *")
-        else:
-            arr = _encode_binary(labels, domain.size)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "values", _freeze(arr))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinaryHypothesis is immutable")
-
-    def label(self, x: int):
-        v = int(self.values[x])
-        return STAR if v == 0 else v
-
-    def labels(self) -> list:
-        return [self.label(x) for x in range(self.domain.size)]
-
-    @property
-    def is_total(self) -> bool:
-        return bool((self.values != 0).all())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryHypothesis)
-            and self.domain.size == other.domain.size
-            and self.values.tobytes() == other.values.tobytes()
-        )
-
-    def __hash__(self):
-        return hash((self.domain.size, self.values.tobytes()))
-
-    def __repr__(self):
-        return f"BinaryHypothesis({self.labels()})"
+            return BinaryClass._validated(labels)
+        return _encode_binary(labels, size)
 
 
-class RealHypothesis(_Immutable):
+class RealHypothesis(_Hypothesis):
     """A partial real-valued labeling; values in [-1, 1] or * (stored as NaN)."""
 
-    __slots__ = ("domain", "values")
+    __slots__ = ()
 
-    def __init__(self, domain: Domain, labels):
+    @staticmethod
+    def _validated(labels, size):
         if isinstance(labels, np.ndarray) and labels.dtype == np.float64:
-            arr = labels + 0.0
-            if arr.shape != (domain.size,):
-                raise ValueError("label array length must equal domain size")
-            defined = ~np.isnan(arr)
-            if defined.any() and (np.abs(arr[defined]) > 1.0).any():
-                raise ValueError("real labels must lie in [-1, 1]")
-            arr[~defined] = np.nan
-        else:
-            arr = _encode_real(labels, domain.size)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "values", _freeze(arr))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealHypothesis is immutable")
-
-    def label(self, x: int):
-        v = float(self.values[x])
-        return STAR if math.isnan(v) else v
-
-    def labels(self) -> list:
-        return [self.label(x) for x in range(self.domain.size)]
-
-    @property
-    def is_total(self) -> bool:
-        return not np.isnan(self.values).any()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RealHypothesis)
-            and self.domain.size == other.domain.size
-            and self.values.tobytes() == other.values.tobytes()
-        )
-
-    def __hash__(self):
-        return hash((self.domain.size, self.values.tobytes()))
-
-    def __repr__(self):
-        return f"RealHypothesis({self.labels()})"
+            return RealClass._validated(labels)
+        return _encode_real(labels, size)
 
 
 def _dedup_rows(matrix: np.ndarray) -> np.ndarray:
@@ -272,9 +265,6 @@ class _BaseClass(_Immutable):
             matrix = _dedup_rows(matrix)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "matrix", _freeze(matrix))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self):
         return self.matrix.shape[0]
@@ -325,107 +315,68 @@ class RealClass(_BaseClass):
     def _validated(matrix):
         """A C-ordered float64 copy with -0.0 and every NaN normalized."""
         matrix = np.array(matrix, dtype=np.float64, order="C")
-        matrix += 0.0  # normalize -0.0
-        defined = ~np.isnan(matrix)
-        if defined.any() and (np.abs(matrix[defined]) > 1.0).any():
+        if (np.abs(matrix) > 1.0).any():  # * (NaN) compares false
             raise ValueError("real labels must lie in [-1, 1]")
-        matrix[~defined] = np.nan
+        matrix += 0.0  # normalize -0.0
+        matrix[_star(matrix)] = np.nan
         return matrix
 
 
-class BinaryModel(_Immutable):
+class _Model(_Labeling):
+    __slots__ = ()
+
+    _length_error = "model values length must equal domain size"
+
+    @classmethod
+    def constant(cls, domain: Domain, value):
+        return cls(domain, np.full(domain.size, value))
+
+    def __call__(self, x: int):
+        return self.values[x].item()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.values.tolist()})"
+
+
+class BinaryModel(_Model):
     """A total binary predictor X -> {-1, +1}."""
 
-    __slots__ = ("domain", "values")
+    __slots__ = ()
 
-    def __init__(self, domain: Domain, values):
+    @staticmethod
+    def _validated(values, size):
+        """An int8 copy, checked before the cast so nothing wraps."""
         arr = np.asarray(values)
-        if arr.shape != (domain.size,):
-            raise ValueError("model values length must equal domain size")
         if not _is_binary(arr).all():
             raise ValueError("binary model values must be -1 or +1 (total)")
-        arr = arr.astype(np.int8)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "values", _freeze(arr))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinaryModel is immutable")
-
-    @classmethod
-    def constant(cls, domain: Domain, value: int) -> "BinaryModel":
-        return cls(domain, np.full(domain.size, value, dtype=np.int8))
-
-    def __call__(self, x: int) -> int:
-        return int(self.values[x])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryModel)
-            and self.domain.size == other.domain.size
-            and self.values.tobytes() == other.values.tobytes()
-        )
-
-    def __hash__(self):
-        return hash(("BinaryModel", self.domain.size, self.values.tobytes()))
-
-    def __repr__(self):
-        return f"BinaryModel({list(map(int, self.values))})"
+        return arr.astype(np.int8)
 
 
-class RealModel(_Immutable):
+class RealModel(_Model):
     """A total real-valued predictor X -> [-1, 1]."""
 
-    __slots__ = ("domain", "values")
+    __slots__ = ()
 
-    def __init__(self, domain: Domain, values):
+    @staticmethod
+    def _validated(values, size):
         arr = np.asarray(values, dtype=np.float64) + 0.0
-        if arr.shape != (domain.size,):
-            raise ValueError("model values length must equal domain size")
         if np.isnan(arr).any() or (np.abs(arr) > 1.0).any():
             raise ValueError("real model values must lie in [-1, 1] (total)")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "values", _freeze(arr))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealModel is immutable")
-
-    @classmethod
-    def constant(cls, domain: Domain, value: float) -> "RealModel":
-        return cls(domain, np.full(domain.size, float(value)))
-
-    def __call__(self, x: int) -> float:
-        return float(self.values[x])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RealModel)
-            and self.domain.size == other.domain.size
-            and self.values.tobytes() == other.values.tobytes()
-        )
-
-    def __hash__(self):
-        return hash(("RealModel", self.domain.size, self.values.tobytes()))
-
-    def __repr__(self):
-        return f"RealModel({list(map(float, self.values))})"
+        return arr
 
 
 def as_real_hypothesis(h: BinaryHypothesis | RealHypothesis) -> RealHypothesis:
     """View a binary hypothesis as a real-valued one (+-1 values, * kept)."""
     if isinstance(h, RealHypothesis):
         return h
-    vals = h.values.astype(np.float64)
-    vals[h.values == 0] = np.nan
-    return RealHypothesis(h.domain, vals)
+    return RealHypothesis(h.domain, _real_view(h.values))
 
 
 def as_real_class(H: BinaryClass | RealClass) -> RealClass:
     """View a binary class as a real-valued one."""
     if isinstance(H, RealClass):
         return H
-    vals = H.matrix.astype(np.float64)
-    vals[H.matrix == 0] = np.nan
-    return RealClass(H.domain, vals, dedup=False)
+    return RealClass(H.domain, _real_view(H.matrix), dedup=False)
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +571,7 @@ def agreement(s: BinaryHypothesis, b: BinaryHypothesis) -> BinaryHypothesis:
     """The agreement hypothesis: the shared label where s(x)=b(x) in {-1,+1}, else *."""
     if s.domain.size != b.domain.size:
         raise ValueError("hypotheses must share a domain")
-    out = np.where((s.values == b.values) & (s.values != 0), s.values, _BINARY_STAR)
-    return BinaryHypothesis(s.domain, out.astype(np.int8))
+    return BinaryHypothesis(s.domain, _agreement_matrix(s.values[None], b.values[None])[0])
 
 
 def _agreement_matrix(ms: np.ndarray, mb: np.ndarray) -> np.ndarray:
@@ -661,12 +611,8 @@ def shift_scale_class(S: RealClass, f: RealModel) -> RealClass:
     if S.domain.size != f.domain.size:
         raise ValueError("class and model must share a domain")
     matrix = (S.matrix - f.values[None, :]) / 2.0
-    defined = ~np.isnan(matrix)
-    if defined.any():
-        assert (np.abs(matrix[defined]) <= 1.0 + 1e-15).all()
-        matrix = np.clip(matrix, -1.0, 1.0)
-        matrix[~defined] = np.nan
-    return RealClass(S.domain, matrix)
+    assert not (np.abs(matrix) > 1.0 + 1e-15).any()  # * (NaN) compares false
+    return RealClass(S.domain, np.clip(matrix, -1.0, 1.0))  # clip keeps NaN
 
 
 def sigma_mask_class(
@@ -684,33 +630,34 @@ def sigma_mask_class(
 # ---------------------------------------------------------------------------
 
 
-def _label_to_json(v, binary: bool):
-    if binary:
-        v = int(v)
-        return "*" if v == 0 else v
-    v = float(v)
-    return "*" if math.isnan(v) else v
+def _row_to_json(row: np.ndarray) -> list:
+    return ["*" if star else v for v, star in zip(row.tolist(), _star(row).tolist())]
 
 
-def _row_to_json(row: np.ndarray, binary: bool) -> list:
-    return [_label_to_json(v, binary) for v in row]
+def _domain_from_json(data) -> Domain:
+    """The domain of a class, model or distribution file: a positive int size."""
+    size = data["domain"]["size"]
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        raise ConfigError(f"domain size must be a positive integer, got {size!r}")
+    return Domain(size)
 
 
 def class_to_json(H: BinaryClass | RealClass) -> dict:
-    binary = isinstance(H, BinaryClass)
     return {
         "domain": {"size": H.domain.size},
-        "kind": "binary" if binary else "real",
-        "members": [_row_to_json(H.matrix[i], binary) for i in range(len(H))],
+        "kind": "binary" if isinstance(H, BinaryClass) else "real",
+        "members": [_row_to_json(row) for row in H.matrix],
     }
 
 
 def class_from_json(data: dict) -> BinaryClass | RealClass:
     try:
-        domain = Domain(int(data["domain"]["size"]))
+        domain = _domain_from_json(data)
         members = data["members"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"invalid class JSON: {exc}") from exc
+    if not isinstance(members, list) or not all(isinstance(row, list) for row in members):
+        raise ConfigError("class members must be a list of label lists")
     kind = data.get("kind")
     if kind is None:
         binary = all(
@@ -720,18 +667,20 @@ def class_from_json(data: dict) -> BinaryClass | RealClass:
         )
         kind = "binary" if binary else "real"
     if kind == "binary":
-        return BinaryClass(domain, [_encode_binary(row, domain.size) for row in members])
-    if kind == "real":
-        return RealClass(domain, [_encode_real(row, domain.size) for row in members])
-    raise ConfigError(f"unknown class kind {kind!r}")
+        cls, encode = BinaryClass, _encode_binary
+    elif kind == "real":
+        cls, encode = RealClass, _encode_real
+    else:
+        raise ConfigError(f"unknown class kind {kind!r}")
+    rows = [encode(row, domain.size) for row in members]
+    return cls(domain, np.array(rows).reshape(len(rows), domain.size))
 
 
 def model_to_json(f: BinaryModel | RealModel, provenance: dict | None = None) -> dict:
-    binary = isinstance(f, BinaryModel)
     out = {
         "domain": {"size": f.domain.size},
-        "kind": "binary" if binary else "real",
-        "values": [int(v) if binary else float(v) for v in f.values],
+        "kind": "binary" if isinstance(f, BinaryModel) else "real",
+        "values": f.values.tolist(),
     }
     if provenance is not None:
         out["provenance"] = provenance
@@ -739,19 +688,28 @@ def model_to_json(f: BinaryModel | RealModel, provenance: dict | None = None) ->
 
 
 def model_from_json(data: dict) -> BinaryModel | RealModel:
+    """Read a model file; its values go through the class-file label reader."""
     try:
-        domain = Domain(int(data["domain"]["size"]))
+        domain = _domain_from_json(data)
         values = data["values"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"invalid model JSON: {exc}") from exc
+    if not isinstance(values, list):
+        raise ConfigError("model values must be a list of labels")
     kind = data.get("kind")
     if kind is None:
         kind = "binary" if all(isinstance(v, int) for v in values) else "real"
     if kind == "binary":
-        return BinaryModel(domain, values)
-    if kind == "real":
-        return RealModel(domain, values)
-    raise ConfigError(f"unknown model kind {kind!r}")
+        model, encode = BinaryModel, _encode_binary
+    elif kind == "real":
+        model, encode = RealModel, _encode_real
+    else:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    try:
+        labels = encode(values, domain.size)
+    except ValueError as exc:
+        raise ValueError(f"{kind} model values: {exc}") from exc
+    return model(domain, labels)
 
 
 def load_json(path) -> dict:

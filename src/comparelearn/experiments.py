@@ -34,6 +34,7 @@ from .core import (
     GuardError,
     RealClass,
     RealModel,
+    _real_view,
 )
 from .offline import (
     LossFunction,
@@ -92,8 +93,8 @@ def _support_rows(model_values: np.ndarray, benchmark, xs: np.ndarray, real: boo
     With ``real`` a binary benchmark is read as +-1 with * as NaN.
     """
     members = benchmark.matrix[:, xs]
-    if real and isinstance(benchmark, BinaryClass):
-        members = np.where(members == 0, np.nan, members)
+    if real:
+        members = _real_view(members)
     return np.concatenate((model_values[None, xs], members))
 
 

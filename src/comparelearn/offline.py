@@ -33,6 +33,7 @@ from .core import (
     _agreement_matrix,
     _binarize_matrix,
     _is_binary,
+    _real_view,
     agreement_class,
     binarize_class,
     chi_arr,
@@ -357,7 +358,7 @@ def exact_weak_oracle(
         binarized = _binarize_matrix(B.matrix, eta2, thresholds[:, None, None]).reshape(-1, size)
         cands = np.concatenate((binarized, np.array([[1], [-1]], dtype=np.int8).repeat(size, axis=1)))
         vals = cands[:, data.xs]
-        scores = gen_product_arr(data.ys, np.where(vals == 0, np.nan, vals)).sum(axis=1)
+        scores = gen_product_arr(data.ys, _real_view(vals)).sum(axis=1)
         row = cands[int(np.argmax(scores))]
         fill = 1 if data.ys[row[data.xs] == 0].sum() >= 0 else -1
         return BinaryModel(B.domain, np.where(row == 0, fill, row))

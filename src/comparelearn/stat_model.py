@@ -27,8 +27,9 @@ from .core import (
     IntervalPartition,
     RealHypothesis,
     RealModel,
+    _domain_from_json,
+    _real_view,
     as_real_class,
-    as_real_hypothesis,
     gen_product_arr,
     sign_arr,
 )
@@ -137,7 +138,7 @@ class DiscreteDistribution:
     @classmethod
     def from_json(cls, data: dict) -> "DiscreteDistribution":
         try:
-            domain = Domain(int(data["domain"]["size"]))
+            domain = _domain_from_json(data)
             return cls(domain, data["support"], data["kind"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid distribution JSON: {exc}") from exc
@@ -180,7 +181,7 @@ class SourceModel:
             raise ValueError("CUSTOM law requires explicit conditionals")
 
     def real_values(self) -> np.ndarray:
-        return as_real_hypothesis(self.hypothesis).values
+        return _real_view(self.hypothesis.values)
 
 
 def make_distribution(mu_x, source: SourceModel) -> DiscreteDistribution:
@@ -241,10 +242,8 @@ def _binary_values(h) -> np.ndarray:
 
 
 def _real_values(h) -> np.ndarray:
-    if isinstance(h, (RealHypothesis, RealModel)):
-        return h.values
-    if isinstance(h, (BinaryHypothesis, BinaryModel)):
-        return np.where(h.values == 0, np.nan, h.values)
+    if isinstance(h, (BinaryHypothesis, BinaryModel, RealHypothesis, RealModel)):
+        return _real_view(h.values)
     raise TypeError(f"expected a hypothesis or model, got {type(h).__name__}")
 
 

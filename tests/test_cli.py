@@ -434,3 +434,53 @@ def test_eval_every_functional_runs(capsys, eval_files):
             argv += ["--benchmark", str(eval_files / "B.json")]
         code, out = run_main(capsys, argv)
         assert code == 0 and out["functional"] == name
+
+
+def _edited(eval_files, name, **fields):
+    data = json.loads((eval_files / f"{name}.json").read_text())
+    data.update(fields)
+    path = eval_files / f"edited-{name}.json"
+    write_json(path, data)
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["B", "binary", "mu"])
+@pytest.mark.parametrize("size", [2.7, 2.0, "2", True, 0])
+def test_domain_size_must_be_a_positive_int(capsys, eval_files, name, size):
+    # int() would read 2.7 as a 2-point domain and answer as if nothing were wrong
+    path = _edited(eval_files, name, domain={"size": size})
+    model = path if name == "binary" else str(eval_files / "binary.json")
+    dist = path if name == "mu" else str(eval_files / "mu.json")
+    argv = ["eval", "--functional", "class_error", "--model", model, "--dist", dist]
+    if name == "B":
+        argv = ["dims", path]
+    assert main(argv) == 2
+    assert "domain size must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, fields",
+    [
+        ("B", {"members": 5}),
+        ("B", {"members": [5]}),
+        ("B", {"members": [[True, -1]]}),
+        ("B", {"members": [[1, 0]]}),
+        ("B", {"kind": "real", "members": [["0.5", 1.0]]}),
+        ("B", {"kind": None, "members": [["0.5", 1.0]]}),
+        ("B", {"kind": "real", "members": [[None, 1.0]]}),
+        ("binary", {"values": 5}),
+        ("binary", {"kind": None, "values": 5}),
+        ("binary", {"values": [True, -1]}),
+        ("binary", {"kind": None, "values": [True, -1]}),
+        ("real", {"values": ["0.5", 0.5]}),
+        ("real", {"values": [None, 0.5]}),
+    ],
+)
+def test_malformed_label_rows_exit_2(capsys, eval_files, name, fields):
+    path = _edited(eval_files, name, **fields)
+    if name == "B":
+        argv = ["dims", path]
+    else:
+        argv = ["eval", "--functional", "correlation", "--model", path, "--dist", str(eval_files / "mu.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,5 +1,6 @@
 """Domain types, label transforms, and their spec'd invariants."""
 
+import copy
 import math
 
 import numpy as np
@@ -520,3 +521,114 @@ def test_model_json_roundtrip():
     assert model_from_json(model_to_json(f)) == f
     g = BinaryModel(d, [1, -1, 1])
     assert model_from_json(model_to_json(g)) == g
+
+
+# --- value-type contract -----------------------------------------------------------
+
+D3 = Domain(3)
+
+
+@pytest.mark.parametrize(
+    "make, other, kin, text",
+    [
+        (
+            lambda z: BinaryHypothesis(D3, [1, STAR, -1]),
+            BinaryHypothesis(D3, [1, STAR, 1]),
+            BinaryClass(D3, [[1, STAR, -1]]),
+            "BinaryHypothesis([1, *, -1])",
+        ),
+        (
+            lambda z: RealHypothesis(D3, [0.5, z, STAR]),
+            RealHypothesis(D3, [0.5, 0.25, STAR]),
+            RealClass(D3, [[0.5, 0.0, STAR]]),
+            "RealHypothesis([0.5, 0.0, *])",
+        ),
+        (
+            lambda z: BinaryModel(D3, [1, -1, 1]),
+            BinaryModel(D3, [1, 1, 1]),
+            BinaryHypothesis(D3, [1, -1, 1]),
+            "BinaryModel([1, -1, 1])",
+        ),
+        (
+            lambda z: RealModel(D3, [0.5, z, 1.0]),
+            RealModel(D3, [0.5, 0.0, -1.0]),
+            RealHypothesis(D3, [0.5, 0.0, 1.0]),
+            "RealModel([0.5, 0.0, 1.0])",
+        ),
+        (
+            lambda z: BinaryClass(D3, np.array([[1, -1, 1]], dtype=np.int8)),
+            BinaryClass(D3, [[1, -1, 1], [1, 1, 1]]),
+            BinaryModel(D3, [1, -1, 1]),
+            "BinaryClass(|X|=3, members=1)",
+        ),
+        (
+            lambda z: RealClass(D3, np.array([[0.5, z, 1.0]])),
+            RealClass(D3, [[0.5, 0.0, 1.0], [0.5, 0.0, -1.0]]),
+            RealModel(D3, [0.5, 0.0, 1.0]),
+            "RealClass(|X|=3, members=1)",
+        ),
+    ],
+)
+def test_value_type_contract(make, other, kin, text):
+    obj = make(-0.0)
+    name = type(obj).__name__
+    for attr in ("domain", "values", "matrix", "extra"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(obj, attr, None)
+    arr = obj.matrix if isinstance(obj, (BinaryClass, RealClass)) else obj.values
+    with pytest.raises(ValueError, match="read-only"):
+        arr[...] = 1
+    # equal by type and bytes: -0.0 is stored as 0.0, and a value of another
+    # type with the very same bytes is still unequal
+    twin = make(0.0)
+    assert obj == twin and hash(obj) == hash(twin) and len({obj, twin}) == 1
+    assert obj != other and other != obj
+    kin_arr = kin.matrix if isinstance(kin, (BinaryClass, RealClass)) else kin.values
+    assert kin_arr.tobytes() == arr.tobytes()
+    assert obj != kin and kin != obj
+    assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
+    assert repr(obj) == text
+
+
+# --- row and matrix validators ----------------------------------------------------
+
+INT8_ROWS = st.lists(st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-128, 127)), min_size=1, max_size=6)
+REAL_ROWS = st.lists(
+    st.one_of(
+        st.floats(-1.0, 1.0),
+        st.sampled_from([1.5, -1.5, np.inf, -np.inf, np.nan, -0.0, 1.0 + 2**-52, -7.0]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(INT8_ROWS, REAL_ROWS)
+@settings(max_examples=200, deadline=None)
+def test_row_and_matrix_validators_agree(int8_row, real_row):
+    for hyp, cls, row in (
+        (BinaryHypothesis, BinaryClass, np.array(int8_row, dtype=np.int8)),
+        (RealHypothesis, RealClass, np.array(real_row, dtype=np.float64)),
+    ):
+        d = Domain(row.size)
+        try:
+            stored = cls(d, row[None]).matrix[0]
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                hyp(d, row)
+            assert str(caught.value) == str(exc)
+        else:
+            assert hyp(d, row).values.tobytes() == stored.tobytes()
+
+
+def test_real_view_reads_star_as_nan():
+    from comparelearn.core import _real_view
+
+    rng = rng_stream(11, 9)
+    H = random_binary_class(rng, 5, 8, star_prob=0.3)
+    assert (H.matrix == 0).any()
+    oracle = np.where(H.matrix == 0, np.nan, H.matrix)
+    assert _real_view(H.matrix).tobytes() == oracle.tobytes()
+    assert as_real_class(H).matrix.tobytes() == oracle.tobytes()
+    real = as_real_class(H).matrix
+    assert _real_view(real) is real
