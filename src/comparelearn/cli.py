@@ -186,25 +186,6 @@ def cmd_learn(args) -> None:
     dump_json(model_to_json(model, provenance), args.out)
 
 
-class _RecordingLearner:
-    """Wraps a learner to log (round, p_plus, y, cumulative expected mistakes)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.rounds = []
-        self._cum = 0.0
-        self._last_p = None
-
-    def predict(self, x):
-        self._last_p = self.inner.predict(x)
-        return self._last_p
-
-    def update(self, x, y):
-        self._cum += self._last_p if y == -1 else 1.0 - self._last_p
-        self.rounds.append((len(self.rounds), float(self._last_p), int(y), float(self._cum)))
-        self.inner.update(x, y)
-
-
 def cmd_online(args) -> None:
     if args.learner == "comp":
         classes = (_load_class(args.source), _load_class(args.benchmark))
@@ -218,20 +199,12 @@ def cmd_online(args) -> None:
     if args.adversary == "replay":
         data = load_dataset(args.replay)
         seq = online.LabeledSequence(tuple(zip(data.xs.tolist(), data.ys.astype(int).tolist())))
-        report = online.run_sequence(learner, seq, classes[-1], keep_rounds=True)
+        report = online.run_sequence(learner, seq, classes[-1])
     else:
         tree_data = load_json(args.tree)
         tree = dimensions.MistakeTree(tree_data["depth"], tuple(tree_data["nodes"]))
-        recorder = _RecordingLearner(learner)
-        seq, expected = online.play_tree_adversary(recorder, tree, classes[0], classes[-1])
-        report = online.RegretReport(
-            n=len(seq),
-            learner_rate=expected / len(seq),
-            benchmark_rate=None,
-            regret=None,
-            rwm_bound=getattr(learner, "regret_bound", None),
-            rounds=tuple(recorder.rounds),
-        )
+        match = online._tree_match(learner, tree, classes[0], classes[-1])
+        report = online._report(learner, *match, None)
     if args.out_report:
         ldim_bound = None
         try:
@@ -251,7 +224,7 @@ def cmd_online(args) -> None:
             },
             args.out_report,
         )
-    if args.out_rounds and report.rounds is not None:
+    if args.out_rounds:
         with open(args.out_rounds, "w") as fh:
             fh.write("round,p_plus,y,cum_expected_mistakes\n")
             for r in report.rounds:

@@ -102,6 +102,16 @@ def _encode_binary(labels, size: int) -> np.ndarray:
     return out
 
 
+def _json_float(value, what: str) -> float:
+    """A JSON number as a float: ValueError for a bool, a non-number or an int past float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what}, got an integer too large for a float") from None
+
+
 def _encode_real(labels, size: int) -> np.ndarray:
     out = np.empty(size, dtype=np.float64)
     labels = list(labels)
@@ -110,10 +120,8 @@ def _encode_real(labels, size: int) -> np.ndarray:
     for i, lab in enumerate(labels):
         if lab is STAR or (isinstance(lab, str) and lab == "*"):
             out[i] = np.nan
-        elif isinstance(lab, bool) or not isinstance(lab, (int, float, np.integer, np.floating)):
-            raise ValueError(f"real label must be a number or *, got {lab!r}")
         else:
-            v = float(lab)
+            v = _json_float(lab, "real label must be a number or *")
             if math.isnan(v):
                 out[i] = np.nan
             elif -1.0 <= v <= 1.0:

@@ -252,12 +252,11 @@ def _threshold_models(
     return models
 
 
-def _holdout_best(models: list[BinaryModel], psi2: Dataset) -> BinaryModel:
-    """First maximizer of the empirical correlation on the holdout."""
-    if len(psi2) == 0:
-        return models[0]
-    qs = [float(np.mean(psi2.ys * m.values[psi2.xs])) for m in models]
-    return models[int(np.argmax(qs))]
+def _holdout_best(w: np.ndarray, xs: np.ndarray, models) -> tuple[int, float]:
+    """The first maximizer of mean(w * m(x)) over the models, and its value (0.0 if no x)."""
+    qs = [float(np.mean(w * m.values[xs])) if len(xs) else 0.0 for m in models]
+    best = int(np.argmax(qs))
+    return best, qs[best]
 
 
 def _split_two(data: Dataset, params: LearnerParams) -> tuple[Dataset, Dataset]:
@@ -292,7 +291,7 @@ def dcorm_real(
     candidates = (
         [BinaryModel.constant(S.domain, -1)] + models + [BinaryModel.constant(S.domain, 1)]
     )
-    return _holdout_best(candidates, psi2)
+    return candidates[_holdout_best(psi2.ys, psi2.xs, candidates)[0]]
 
 
 def corm_general(
@@ -327,7 +326,7 @@ def corm_general(
         candidates.extend(_threshold_models(Sbin, B, psi, eta2, t, S.domain))
     candidates.append(BinaryModel.constant(S.domain, 1))
     candidates.append(BinaryModel.constant(S.domain, -1))
-    return _holdout_best(candidates, psi2)
+    return candidates[_holdout_best(psi2.ys, psi2.xs, candidates)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +465,9 @@ def _sigma_round(S, B, partition, gamma, oracle, rng):
         cands = [
             oracle(Sp, sigma_mask_class(B, sig, fmodel, partition), halved, rng) for sig in sigmas
         ]
-        resid2 = psi2.ys - f[psi2.xs]
-        qs = [float(np.mean(resid2 * c.values[psi2.xs])) if len(psi2) else 0.0 for c in cands]
-        best = int(np.argmax(qs))
-        event.update(candidates=cands, f_prime=cands[best], q_prime=qs[best])
-        if qs[best] >= 3.0 * gamma / 4.0:
+        best, q = _holdout_best(psi2.ys - f[psi2.xs], psi2.xs, cands)
+        event.update(candidates=cands, f_prime=cands[best], q_prime=q)
+        if q >= 3.0 * gamma / 4.0:
             return proj_interval_arr(f + gamma * cands[best].values / 2.0)
         return "weak_gain"
 
@@ -570,7 +567,7 @@ def boost(
             psi = psi.slice(0, min(n0, len(psi)))
         fprime = oracle(S, B, psi, rng)
         resid2 = psi2.ys - pi_proj_arr(psi2.ys, f[psi2.xs])
-        Qp = float(np.mean(resid2 * fprime.values[psi2.xs])) if n2 else 0.0
+        _, Qp = _holdout_best(resid2, psi2.xs, [fprime])
         event.update(f_prime=fprime, q_prime=Qp)
         if Qp >= 4.0 * gamma * n_kept / (9.0 * n1):
             return proj_interval_arr(f + Qp * fprime.values / 2.0)

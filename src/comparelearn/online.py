@@ -126,35 +126,35 @@ def comp_online(S: BinaryClass, B: BinaryClass, horizon: int) -> RWMLearner:
     return RWMLearner(agreement_class(S, B), horizon)
 
 
-def run_sequence(
-    learner,
-    seq: LabeledSequence,
-    benchmarks: BinaryClass | None = None,
-    keep_rounds: bool = False,
-) -> RegretReport:
-    """Drive a learner over a sequence with exact expectation accounting.
+def _match(learner, n, point, label) -> tuple[list, list, float]:
+    """Play n rounds: x = point(labels so far), p = predict(x), y = label(i, p), update(x, y).
 
-    The benchmark side, when a class is given, is the minimum exact mistake
-    rate over its members with * counting as a mistake.  Regret is signed:
-    the learner may beat the class.
+    Returns the (x, y) pairs, the rows (round, p, y, cumulative expected
+    mistakes) and the learner's exact expected mistake count.
     """
-    n = len(seq)
+    xs, path, rows, expected = [], [], [], 0.0
+    for i in range(n):
+        x = point(path)
+        p = learner.predict(x)
+        y = label(i, p)
+        expected += p if y == -1 else 1.0 - p
+        rows.append((i, float(p), int(y), float(expected)))
+        learner.update(x, y)
+        xs.append(x)
+        path.append(y)
+    return list(zip(xs, path)), rows, expected
+
+
+def _report(learner, pairs, rows, expected, benchmarks: BinaryClass | None) -> RegretReport:
+    """The :class:`RegretReport` of a finished :func:`_match`."""
+    n = len(pairs)
     if n == 0:
         raise ValueError("sequence must be nonempty")
-    expected = 0.0
-    rows = []
-    for i, (x, y) in enumerate(seq):
-        p = learner.predict(x)
-        expected += p if y == -1 else 1.0 - p
-        if keep_rounds:
-            rows.append((i, float(p), int(y), float(expected)))
-        learner.update(x, y)
     learner_rate = expected / n
     benchmark_rate = regret = None
     if benchmarks is not None and not benchmarks.is_empty:
-        xs = np.array([x for x, _ in seq])
-        ys = np.array([y for _, y in seq], dtype=np.int8)
-        mism = (benchmarks.matrix[:, xs] != ys[None, :]).sum(axis=1)
+        xs, ys = np.array(pairs).T
+        mism = (benchmarks.matrix[:, xs] != ys).sum(axis=1)
         benchmark_rate = float(mism.min()) / n
         regret = learner_rate - benchmark_rate
     return RegretReport(
@@ -163,8 +163,31 @@ def run_sequence(
         benchmark_rate=benchmark_rate,
         regret=regret,
         rwm_bound=getattr(learner, "regret_bound", None),
-        rounds=tuple(rows) if keep_rounds else None,
+        rounds=tuple(rows),
     )
+
+
+def run_sequence(
+    learner,
+    seq: LabeledSequence,
+    benchmarks: BinaryClass | None = None,
+) -> RegretReport:
+    """Drive a learner over a sequence with exact expectation accounting.
+
+    The benchmark side, when a class is given, is the minimum exact mistake
+    rate over its members with * counting as a mistake.  Regret is signed:
+    the learner may beat the class.
+    """
+    pairs = seq.pairs
+    match = _match(learner, len(pairs), lambda path: pairs[len(path)][0], lambda i, p: pairs[i][1])
+    return _report(learner, *match, benchmarks)
+
+
+def _tree_match(learner, tree: MistakeTree, S: BinaryClass, B: BinaryClass):
+    """The :func:`_match` of :func:`play_tree_adversary`."""
+    if not (tree_shattered_by(S, tree) and tree_shattered_by(B, tree)):
+        raise ValueError("tree is not certified shattered by both classes")
+    return _match(learner, tree.depth, tree.node, lambda i, p: -1 if p >= 0.5 else 1)
 
 
 def play_tree_adversary(
@@ -182,19 +205,7 @@ def play_tree_adversary(
     realizable by some s in S with a perfectly agreeing b in B, and the
     learner's exact expected mistake count (at least depth/2 by construction).
     """
-    if not (tree_shattered_by(S, tree) and tree_shattered_by(B, tree)):
-        raise ValueError("tree is not certified shattered by both classes")
-    path: tuple[int, ...] = ()
-    pairs = []
-    expected = 0.0
-    for _ in range(tree.depth):
-        x = tree.node(path)
-        p = learner.predict(x)
-        y = -1 if p >= 0.5 else 1
-        expected += p if y == -1 else 1.0 - p
-        learner.update(x, y)
-        pairs.append((x, y))
-        path = path + (y,)
+    pairs, _, expected = _tree_match(learner, tree, S, B)
     return LabeledSequence(tuple(pairs), source_tag="tree_adversary"), expected
 
 

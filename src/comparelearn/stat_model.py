@@ -28,6 +28,7 @@ from .core import (
     RealHypothesis,
     RealModel,
     _domain_from_json,
+    _json_float,
     _real_view,
     as_real_class,
     gen_product_arr,
@@ -139,7 +140,16 @@ class DiscreteDistribution:
     def from_json(cls, data: dict) -> "DiscreteDistribution":
         try:
             domain = _domain_from_json(data)
-            return cls(domain, data["support"], data["kind"])
+            atoms = []
+            for row in data["support"]:
+                if not (isinstance(row, list) and len(row) == 3):
+                    raise ValueError(f"support row must be a list [x, y, p], got {row!r}")
+                x, y, p = row
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise ValueError(f"support index must be an integer, got {x!r}")
+                y = _json_float(y, "support label must be a number")
+                atoms.append((x, y, _json_float(p, "support mass must be a number")))
+            return cls(domain, atoms, data["kind"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid distribution JSON: {exc}") from exc
 

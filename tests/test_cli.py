@@ -245,6 +245,26 @@ def test_online_tree_adversary(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("learner", ["soa", "rwm", "comp"])
+def test_online_depth_zero_tree_exit_2(tmp_path, capsys, learner):
+    # dims --ldim writes this witness for a class of Littlestone dimension 0
+    hp, tp, rp = tmp_path / "H.json", tmp_path / "tree.json", tmp_path / "report.json"
+    write_json(hp, class_to_json(BinaryClass(Domain(2), [[1, -1]])))
+    write_json(tp, {"depth": 0, "nodes": []})
+    classes = ["--hypothesis-class", str(hp)]
+    if learner == "comp":
+        classes = ["--source", str(hp), "--benchmark", str(hp)]
+    code = main(
+        [
+            "online", "--learner", learner, *classes, "--adversary", "tree", "--tree", str(tp),
+            "--rounds", "1", "--out-report", str(rp),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: sequence must be nonempty\n"
+    assert not rp.exists()
+
+
 @pytest.mark.parametrize("node", [7, -1])
 def test_online_tree_node_outside_domain(tmp_path, capsys, node):
     from itertools import product as iproduct
@@ -484,3 +504,63 @@ def test_malformed_label_rows_exit_2(capsys, eval_files, name, fields):
         argv = ["eval", "--functional", "correlation", "--model", path, "--dist", str(eval_files / "mu.json")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "support, message",
+    [
+        ([[0.7, 1, 0.5], [1, 1, 0.5]], "support index must be an integer"),
+        ([[0, 1, 0.5], [True, 1, 0.5]], "support index must be an integer"),
+        ([[0, 1, 0.5], ["1", 1, 0.5]], "support index must be an integer"),
+        ([[0, 1, 0.5], [1, True, 0.5]], "support label must be a number"),
+        ([[0, "0.5", 0.5], [1, 1, 0.5]], "support label must be a number"),
+        ([[0, None, 0.5], [1, 1, 0.5]], "support label must be a number"),
+        ([[0, 1, 0.5], [1, 1, "0.5"]], "support mass must be a number"),
+        ([[0, 1, 0.5], [1, 1, False]], "support mass must be a number"),
+        ([[0, 1, 0.5], [1, 1]], "support row must be a list [x, y, p]"),
+        ([[0, 1, 0.5], [1, 1, 0.5, 0.0]], "support row must be a list [x, y, p]"),
+        ([[0, 1, 0.5], {"x": 1}], "support row must be a list [x, y, p]"),
+    ],
+)
+def test_malformed_support_rows_exit_2(capsys, eval_files, support, message):
+    # int() and float() would read 0.7 as point 0, true as +1 and "0.5" as 0.5
+    path = _edited(eval_files, "mu", kind="real", support=support)
+    argv = ["eval", "--functional", "correlation", "--model", str(eval_files / "real.json"), "--dist", path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid distribution JSON: ") and message in err
+
+
+def test_support_rows_of_json_numbers_still_load(capsys, eval_files):
+    # a JSON integer is a number: label 1 and mass 1 load as 1.0
+    path = _edited(eval_files, "mu", kind="real", support=[[0, 1, 1]])
+    code, out = run_main(capsys, ["eval", "--functional", "correlation",
+                                  "--model", str(eval_files / "real.json"), "--dist", path])
+    assert code == 0 and out["value"] == 0.5
+
+
+HUGE = 10**400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize(
+    "name, fields",
+    [
+        ("B", {"kind": "real", "members": [[HUGE, 0.5]]}),
+        ("B", {"kind": None, "members": [[HUGE, 0.5]]}),
+        ("real", {"values": [HUGE, 0.5]}),
+        ("real", {"values": [-HUGE, 0.5]}),
+        ("mu", {"kind": "real", "support": [[0, HUGE, 0.5], [1, 1, 0.5]]}),
+        ("mu", {"kind": "real", "support": [[0, 1, HUGE], [1, 1, 0.5]]}),
+    ],
+)
+def test_huge_json_integers_exit_2(capsys, eval_files, name, fields):
+    # float(10**400) raises OverflowError, which is not a file error the CLI reports
+    path = _edited(eval_files, name, **fields)
+    if name == "B":
+        argv = ["dims", path, "--margin", "0.1"]
+    else:
+        model = path if name == "real" else str(eval_files / "real.json")
+        dist = path if name == "mu" else str(eval_files / "mu.json")
+        argv = ["eval", "--functional", "correlation", "--model", model, "--dist", dist]
+    assert main(argv) == 2
+    assert "got an integer too large for a float" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Scenario constructions, the n* estimator, and experiment orchestration."""
 
+import hashlib
 import importlib.resources as res
 import json
 import math
@@ -399,6 +400,9 @@ def test_paper_suite_summary_matches_acceptance_claims(tmp_path):
     assert None not in stars and stars == sorted(set(stars))
     c4 = [e for e in rows if e["scenario"] == "c4"]
     assert c4 and all(e["invariant_ok"] == e["pairs"] for e in c4)
+    # the bundled suite's replay is byte-identical (value on numpy 2.4.6)
+    digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert digest == "744da5599661be5a06bd0b056102bc045df57971c1b792e98447777ef8e8db31"
 
 
 def test_millis_column_zero_by_default(tmp_path):

@@ -1109,3 +1109,13 @@ def test_learners_replay_bit_for_bit():
     b1 = boost(S, B, data_b, oracle, bp, rng_stream(61, 504))
     b2 = boost(S, B, data_b, oracle, bp, rng_stream(61, 504))
     assert b1 == b2
+
+
+def test_holdout_best_takes_the_first_maximizer():
+    from comparelearn.offline import _holdout_best
+
+    d = Domain(3)
+    models = [BinaryModel(d, v) for v in ([-1, -1, -1], [1, -1, 1], [1, 1, 1], [1, -1, 1])]
+    w, xs = np.array([0.5, -0.25, 1.0]), np.array([0, 1, 2])
+    assert _holdout_best(w, xs, models) == (1, float(np.mean(w * models[1].values[xs])))
+    assert _holdout_best(w[:0], xs[:0], models) == (0, 0.0)  # every model scores 0.0 on no points

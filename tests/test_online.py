@@ -199,6 +199,7 @@ def test_run_sequence_exact_rates():
     assert match.learner_rate == 0.0
     half = run_sequence(ConstantLearner(0.5), seq, None)
     assert half.learner_rate == 0.5
+    assert half.rounds == ((0, 0.5, 1, 0.5), (1, 0.5, -1, 1.0), (2, 0.5, 1, 1.5), (3, 0.5, 1, 2.0))
 
 
 def test_run_sequence_matches_sampled_estimate():
@@ -345,6 +346,36 @@ def test_tree_adversary_rejects_uncertified_tree():
     bad = MistakeTree(1, (0,))
     with pytest.raises(ValueError):
         play_tree_adversary(ConstantLearner(), bad, H, H)
+
+
+def test_tree_adversary_depth_zero_plays_no_round():
+    from comparelearn.dimensions import MistakeTree
+
+    H = BinaryClass(Domain(2), [[1, 1]])
+    seq, expected = play_tree_adversary(SOALearner(H), MistakeTree(0, ()), H, H)
+    assert (seq.pairs, seq.source_tag, expected) == ((), "tree_adversary", 0.0)
+    with pytest.raises(ValueError, match="sequence must be nonempty"):
+        run_sequence(SOALearner(H), seq, H)
+
+
+@pytest.mark.parametrize("make", [SOALearner, lambda H: RWMLearner(H, horizon=4)])
+def test_tree_walk_replays_as_a_sequence(make):
+    # a deterministic learner shown the walk's sequence again predicts the same p each round,
+    # so the replay's rounds end at the walk's expected mistake count
+    rng = rng_stream(83, 12)
+    played = 0
+    for _ in range(8):
+        S = random_binary_class(rng, 4, 10)
+        res = ldim(S)
+        if not res.value:
+            continue
+        played += 1
+        seq, expected = play_tree_adversary(make(S), res.witness, S, S)
+        report = run_sequence(make(S), seq)
+        assert len(report.rounds) == report.n == res.value
+        assert [(i, y) for i, _, y, _ in report.rounds] == [(i, y) for i, (_, y) in enumerate(seq)]
+        assert report.rounds[-1][3] == expected and report.learner_rate == expected / report.n
+    assert played >= 4
 
 
 def minimax_tree_value(learner, tree, path=()):

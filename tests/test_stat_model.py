@@ -34,7 +34,7 @@ from comparelearn import (
     rng_stream,
     sign_cal_error,
 )
-from comparelearn.core import as_real_hypothesis, gen_product_arr
+from comparelearn.core import ConfigError, as_real_hypothesis, gen_product_arr
 from comparelearn.experiments import _support_rows
 from comparelearn.offline import round_model, squared_loss
 from comparelearn.stat_model import (
@@ -594,3 +594,13 @@ def test_goal_rows_match_reference_formulas(case):
         rows = _support_rows(f.values, C, dist.xs, real=True)
         ref = (dist.ps * gen_product_arr(dist.ys, rows)).sum(axis=1)
         assert _same(_corr_rows(rows, dist), ref)
+
+
+def test_distribution_constructor_takes_numpy_scalars_file_rows_do_not():
+    # make_distribution and in-process callers pass numpy scalars; a file row is JSON only
+    atoms = [(np.int64(0), np.float64(1.0), np.float64(0.25)), (np.int64(1), np.int8(-1), np.float64(0.75))]
+    mu = DiscreteDistribution(Domain(2), atoms, "binary")
+    assert mu.xs.tolist() == [0, 1] and mu.ys.tolist() == [1.0, -1.0] and mu.ps.tolist() == [0.25, 0.75]
+    assert DiscreteDistribution.from_json(mu.to_json()).to_json() == mu.to_json()
+    with pytest.raises(ConfigError, match="support row must be a list"):
+        DiscreteDistribution.from_json({"domain": {"size": 2}, "kind": "binary", "support": atoms})
