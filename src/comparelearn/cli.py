@@ -198,7 +198,12 @@ def cmd_online(args) -> None:
             learner = online.RWMLearner(classes[0], args.rounds)
     if args.adversary == "replay":
         data = load_dataset(args.replay)
-        seq = online.LabeledSequence(tuple(zip(data.xs.tolist(), data.ys.astype(int).tolist())))
+        size = classes[0].domain.size
+        outside = (data.xs < 0) | (data.xs >= size)
+        if outside.any():
+            bad = data.xs[outside][0]
+            raise ConfigError(f"{args.replay}: x_index must lie in [0, {size}), got {bad}")
+        seq = online.LabeledSequence(tuple(zip(data.xs.tolist(), data.ys.tolist())))
         report = online.run_sequence(learner, seq, classes[-1])
     else:
         tree_data = load_json(args.tree)

@@ -373,13 +373,6 @@ class RealModel(_Model):
         return arr
 
 
-def as_real_hypothesis(h: BinaryHypothesis | RealHypothesis) -> RealHypothesis:
-    """View a binary hypothesis as a real-valued one (+-1 values, * kept)."""
-    if isinstance(h, RealHypothesis):
-        return h
-    return RealHypothesis(h.domain, _real_view(h.values))
-
-
 def as_real_class(H: BinaryClass | RealClass) -> RealClass:
     """View a binary class as a real-valued one."""
     if isinstance(H, RealClass):
@@ -406,12 +399,6 @@ class IntervalPartition:
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError("partition size k must be a positive integer")
-
-    def cell_index(self, u: float) -> int:
-        if not -1.0 <= u <= 1.0:
-            raise ValueError(f"u must lie in [-1, 1], got {u!r}")
-        j = math.ceil((u + 1.0) * self.k / 2.0)
-        return min(max(j, 1), self.k) - 1
 
     def cell_indices(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr, dtype=np.float64)
@@ -441,31 +428,20 @@ def validate_sign_vector(sigma, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar operations
+# elementwise operations
 # ---------------------------------------------------------------------------
 
 
-def sign(u: float) -> int:
-    """+1 if u >= 0, else -1."""
-    return 1 if u >= 0 else -1
-
-
 def sign_arr(arr: np.ndarray) -> np.ndarray:
+    """+1 where u >= 0, else -1."""
     return np.where(np.asarray(arr) >= 0, 1, -1).astype(np.int8)
 
 
-def gen_product(u1: float, u2) -> float:
-    """Generalized product: u1*u2 for defined u2, -|u1| when u2 is *.
+def gen_product_arr(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Generalized product: u1*u2 for defined u2, -|u1| where u2 is * (NaN).
 
     The * case is the worst completion: inf over v in [-1,1] of u1*v.
     """
-    if u2 is STAR or (isinstance(u2, float) and math.isnan(u2)):
-        return -abs(u1)
-    return u1 * u2
-
-
-def gen_product_arr(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Vectorized generalized product; NaN in ``u2`` encodes *."""
     u1 = np.asarray(u1, dtype=np.float64)
     u2 = np.asarray(u2, dtype=np.float64)
     star = np.isnan(u2)
@@ -473,26 +449,13 @@ def gen_product_arr(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return out
 
 
-def proj_interval(u: float) -> float:
-    """Projection of u into [-1, 1]."""
-    return max(-1.0, min(1.0, u))
-
-
 def proj_interval_arr(arr: np.ndarray) -> np.ndarray:
+    """Projection of u into [-1, 1]."""
     return np.clip(arr, -1.0, 1.0)
 
 
-def pi_proj(y: float, u: float) -> float:
-    """Projection of u into [0, y] (or [y, 0] when y < 0)."""
-    lo, hi = min(0.0, y), max(0.0, y)
-    if u < lo:
-        return lo
-    if u > hi:
-        return hi
-    return u
-
-
 def pi_proj_arr(y: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Projection of u into [0, y] (or [y, 0] when y < 0)."""
     y = np.asarray(y, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     lo = np.minimum(0.0, y)
@@ -500,13 +463,8 @@ def pi_proj_arr(y: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.clip(u, lo, hi)
 
 
-def chi(sigma, partition: IntervalPartition, u: float) -> int:
-    """sigma_j for the unique partition cell containing u."""
-    arr = validate_sign_vector(sigma, partition.k)
-    return int(arr[partition.cell_index(u)])
-
-
 def chi_arr(sigma, partition: IntervalPartition, arr: np.ndarray) -> np.ndarray:
+    """sigma_j for the unique partition cell j containing each u."""
     sig = validate_sign_vector(sigma, partition.k)
     return sig[partition.cell_indices(arr)]
 
@@ -522,7 +480,7 @@ def discretize_labels(eta1: float) -> np.ndarray:
     m = int(math.floor((1.0 + 1e-12) / eta1))
     vals = {0.0}
     for j in range(-m, m + 1):
-        vals.add(proj_interval(j * eta1))
+        vals.add(max(-1.0, min(1.0, j * eta1)))
     out = np.array(sorted(vals), dtype=np.float64)
     assert out.size <= math.ceil(2.0 / eta1) + 1
     return out
@@ -531,15 +489,6 @@ def discretize_labels(eta1: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # hypothesis and class transforms
 # ---------------------------------------------------------------------------
-
-
-def _reference_array(r, size: int) -> np.ndarray:
-    if np.isscalar(r):
-        return np.full(size, float(r))
-    arr = np.asarray(r, dtype=np.float64)
-    if arr.shape != (size,):
-        raise ValueError("reference function must be a scalar or a per-point array")
-    return arr
 
 
 def _binarize_matrix(matrix: np.ndarray, eta: float, r: np.ndarray) -> np.ndarray:
@@ -551,35 +500,22 @@ def _binarize_matrix(matrix: np.ndarray, eta: float, r: np.ndarray) -> np.ndarra
     return out
 
 
-def binarize_hypothesis(h: RealHypothesis, eta: float, r) -> BinaryHypothesis:
-    """The binary hypothesis h_eta^r: +1 above r+eta, -1 below r-eta, * between.
+def binarize_class(H: RealClass, eta: float, r) -> BinaryClass:
+    """The class {h_eta^r}: +1 above r+eta, -1 below r-eta, * between, deduplicated.
 
     Comparisons are strict; h(x)=* (and any |h(x)-r(x)| <= eta) maps to *.
-    """
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    ref = _reference_array(r, h.domain.size)
-    vals = _binarize_matrix(h.values[None, :], eta, ref)[0]
-    return BinaryHypothesis(h.domain, vals)
-
-
-def binarize_class(H: RealClass, eta: float, r) -> BinaryClass:
-    """Apply binarize_hypothesis to every member and deduplicate.
-
     ``r`` may be a scalar theta (the constant-reference convenience H_eta^theta)
     or a per-point array.
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    ref = _reference_array(r, H.domain.size)
+    if np.isscalar(r):
+        ref = np.full(H.domain.size, float(r))
+    else:
+        ref = np.asarray(r, dtype=np.float64)
+        if ref.shape != (H.domain.size,):
+            raise ValueError("reference function must be a scalar or a per-point array")
     return BinaryClass(H.domain, _binarize_matrix(H.matrix, eta, ref))
-
-
-def agreement(s: BinaryHypothesis, b: BinaryHypothesis) -> BinaryHypothesis:
-    """The agreement hypothesis: the shared label where s(x)=b(x) in {-1,+1}, else *."""
-    if s.domain.size != b.domain.size:
-        raise ValueError("hypotheses must share a domain")
-    return BinaryHypothesis(s.domain, _agreement_matrix(s.values[None], b.values[None])[0])
 
 
 def _agreement_matrix(ms: np.ndarray, mb: np.ndarray) -> np.ndarray:
@@ -593,7 +529,10 @@ def _agreement_matrix(ms: np.ndarray, mb: np.ndarray) -> np.ndarray:
 
 
 def agreement_class(S: BinaryClass, B: BinaryClass) -> BinaryClass:
-    """All pairwise agreement hypotheses a_{s,b}, deduplicated."""
+    """All pairwise agreement hypotheses a_{s,b}, deduplicated.
+
+    a_{s,b}(x) is the shared label where s(x) = b(x) in {-1, +1}, else *.
+    """
     if S.domain.size != B.domain.size:
         raise ValueError("classes must share a domain")
     return BinaryClass(S.domain, _agreement_matrix(S.matrix, B.matrix))

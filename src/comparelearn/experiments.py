@@ -266,6 +266,7 @@ def _scenario_c1(m: int, direction: str, epsilon: float, delta: float) -> TaskSp
     def gen(rng: np.random.Generator) -> DiscreteDistribution:
         return family[int(rng.integers(len(family)))]
 
+    # beyond the guard the subfamily is sampled only: no adversarial family
     return TaskSpec(
         name="c1",
         kind="compl",
@@ -274,7 +275,7 @@ def _scenario_c1(m: int, direction: str, epsilon: float, delta: float) -> TaskSp
         epsilon=epsilon,
         delta=delta,
         mu_family=family if exhaustive else None,
-        mu_generator=gen,
+        mu_generator=None if exhaustive else gen,
         mu_x=mu_x,
         baseline_model=BinaryModel.constant(domain, -1) if direction == "forward" else None,
         meta={"m": m, "direction": direction, "exhaustive": exhaustive},
@@ -311,10 +312,6 @@ def _scenario_c2(m: int, direction: str, epsilon: float, delta: float) -> TaskSp
         make_distribution(mu_x, SourceModel(B.member(i), DETERMINISTIC))
         for i in range(len(B))
     ]
-
-    def gen(rng: np.random.Generator) -> DiscreteDistribution:
-        return family[int(rng.integers(len(family)))]
-
     return TaskSpec(
         name="c2",
         kind="dcorm",
@@ -323,7 +320,6 @@ def _scenario_c2(m: int, direction: str, epsilon: float, delta: float) -> TaskSp
         epsilon=epsilon,
         delta=delta,
         mu_family=family,
-        mu_generator=gen,
         mu_x=mu_x,
         meta={"m": m, "direction": direction},
     )
@@ -343,10 +339,6 @@ def _scenario_c3(m: int, direction: str, epsilon: float, delta: float) -> TaskSp
         make_distribution(mu_x, SourceModel(src_cls.member(i), BER_STAR))
         for i in range(len(src_cls))
     ]
-
-    def gen(rng: np.random.Generator) -> DiscreteDistribution:
-        return family[int(rng.integers(len(family)))]
-
     return TaskSpec(
         name="c3",
         kind="compr",
@@ -356,7 +348,6 @@ def _scenario_c3(m: int, direction: str, epsilon: float, delta: float) -> TaskSp
         delta=delta,
         loss=loss,
         mu_family=family,
-        mu_generator=gen,
         mu_x=mu_x if direction == "reversed" else None,
         baseline_model=RealModel.constant(domain, 0.0) if direction == "forward" else None,
         meta={"m": m, "direction": direction},
@@ -499,6 +490,12 @@ class EstimateReport:
         return out
 
 
+def _trial(spec: TaskSpec, learner, mu: DiscreteDistribution, n: int, rng) -> bool:
+    """One trial: sample n points from mu, learn, and test the goal on mu."""
+    data = mu.sample(n, rng) if n else Dataset(np.empty(0, np.int64), np.empty(0))
+    return goal_satisfied(spec, learner(data, rng), mu)
+
+
 def estimate_sample_complexity(
     spec: TaskSpec,
     learner_factory: Callable[[TaskSpec], Callable[[Dataset, np.random.Generator], object]],
@@ -527,12 +524,8 @@ def estimate_sample_complexity(
                 raise ValueError("adversarial mode needs an enumerated family")
             worst = trials
             for mi, mu in enumerate(spec.mu_family):
-                count = 0
-                for t in range(trials):
-                    rng = rng_stream(seed, gi, mi, t)
-                    data = mu.sample(n, rng) if n else Dataset(np.empty(0, np.int64), np.empty(0))
-                    model = learner(data, rng)
-                    count += goal_satisfied(spec, model, mu)
+                rngs = (rng_stream(seed, gi, mi, t) for t in range(trials))
+                count = sum(_trial(spec, learner, mu, n, rng) for rng in rngs)
                 worst = min(worst, count)
                 if worst < bar:
                     break
@@ -541,10 +534,7 @@ def estimate_sample_complexity(
             count = 0
             for t in range(trials):
                 rng = rng_stream(seed, gi, t)
-                mu = spec.draw_mu(rng)
-                data = mu.sample(n, rng) if n else Dataset(np.empty(0, np.int64), np.empty(0))
-                model = learner(data, rng)
-                count += goal_satisfied(spec, model, mu)
+                count += _trial(spec, learner, spec.draw_mu(rng), n, rng)
             successes.append(count)
         if n_star is None and successes[-1] >= bar:
             n_star = n
@@ -620,7 +610,19 @@ LEARNER_FACTORIES = {
 CSV_HEADER = "scenario,direction,m,n,trials,successes,wilson_lo,wilson_hi,seed,millis"
 
 
+_ENTRY_DEFAULTS = {
+    "direction": "forward",
+    "epsilon": 0.0,
+    "delta": 0.0,
+    "grid": [0],
+    "trials": 1,
+    "mode": "sampled",
+    "learner": "default",
+}
+
+
 def _validate_config(cfg: dict) -> dict:
+    """The checked config as a new dict, with every default written out."""
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be an object")
     if "seed" not in cfg or not isinstance(cfg["seed"], int):
@@ -631,10 +633,13 @@ def _validate_config(cfg: dict) -> dict:
     exps = cfg.get("experiments")
     if not isinstance(exps, list) or not exps:
         raise ConfigError("config.experiments: required nonempty list")
+    entries = []
     for i, e in enumerate(exps):
         where = f"config.experiments[{i}]"
         if not isinstance(e, dict):
             raise ConfigError(f"{where}: must be an object")
+        e = {**_ENTRY_DEFAULTS, **e}
+        entries.append(e)
         name = e.get("scenario")
         if name not in ("figure1", "c1", "c2", "c3", "c4"):
             raise ConfigError(f"{where}.scenario: unknown scenario {name!r}")
@@ -642,23 +647,23 @@ def _validate_config(cfg: dict) -> dict:
             raise ConfigError(f"{where}.m: required positive integer")
         if name == "c4":
             continue
-        if e.get("direction", "forward") not in ("forward", "reversed"):
+        if e["direction"] not in ("forward", "reversed"):
             raise ConfigError(f"{where}.direction: must be forward or reversed")
         for key in ("epsilon", "delta"):
-            if not isinstance(e.get(key, 0.0), (int, float)):
+            if not isinstance(e[key], (int, float)):
                 raise ConfigError(f"{where}.{key}: must be a number")
-        grid = e.get("grid", [0])
+        grid = e["grid"]
         if not isinstance(grid, list) or not all(isinstance(n, int) and n >= 0 for n in grid):
             raise ConfigError(f"{where}.grid: must be a list of nonnegative integers")
-        if not isinstance(e.get("trials", 1), int) or e.get("trials", 1) < 1:
+        if not isinstance(e["trials"], int) or e["trials"] < 1:
             raise ConfigError(f"{where}.trials: must be a positive integer")
-        if e.get("mode", "sampled") not in ("sampled", "adversarial"):
+        if e["mode"] not in ("sampled", "adversarial"):
             raise ConfigError(f"{where}.mode: must be sampled or adversarial")
-        if e.get("learner", "default") not in LEARNER_FACTORIES:
+        if e["learner"] not in LEARNER_FACTORIES:
             raise ConfigError(
                 f"{where}.learner: must be one of {sorted(LEARNER_FACTORIES)}"
             )
-    return cfg
+    return {"seed": cfg["seed"], "record_millis": record_millis, "experiments": entries}
 
 
 def toolkit_version_hash() -> str:
@@ -687,7 +692,7 @@ def run_experiment(config: dict, out_dir) -> dict:
     cfg = _validate_config(config)
     out = pathlib.Path(out_dir)
     seed = cfg["seed"]
-    record_millis = cfg.get("record_millis", False)
+    record_millis = cfg["record_millis"]
     rows = []
     curves: dict[str, list[str]] = {}
     summary_entries = []
@@ -707,16 +712,15 @@ def run_experiment(config: dict, out_dir) -> dict:
                 {"scenario": name, "m": m, "pairs": len(table), "invariant_ok": ok, "wall_ms": ms}
             )
             continue
-        direction = e.get("direction", "forward")
-        spec = scenario(name, m, direction, e.get("epsilon", 0.0), e.get("delta", 0.0))
-        factory = LEARNER_FACTORIES[e.get("learner", "default")]
+        direction = e["direction"]
+        spec = scenario(name, m, direction, e["epsilon"], e["delta"])
         report = estimate_sample_complexity(
             spec,
-            factory,
-            e.get("grid", [0]),
-            e.get("trials", 1),
+            LEARNER_FACTORIES[e["learner"]],
+            e["grid"],
+            e["trials"],
             seed + ei,
-            adversarial=e.get("mode", "sampled") == "adversarial",
+            adversarial=e["mode"] == "adversarial",
         )
         curve_lines = []
         for i, n in enumerate(report.grid):
@@ -762,8 +766,8 @@ def run_experiment(config: dict, out_dir) -> dict:
         "seed": seed,
         "toolkit_version": __about__.__version__,
         "toolkit_hash": toolkit_version_hash(),
-        "config_sha256": hashlib.sha256(
-            json.dumps(cfg, sort_keys=True).encode()
+        "config_sha256": hashlib.sha256(  # the config as given, not with defaults filled
+            json.dumps(config, sort_keys=True).encode()
         ).hexdigest(),
         "experiments": summary_entries,
     }

@@ -617,6 +617,13 @@ def boosting_plan(
 _KAPPA_GRID = 1001
 
 
+def _grid_slope(fn) -> tuple[np.ndarray, float]:
+    """Rows fn(-1, q), fn(+1, q) on the kappa grid, and their largest finite-difference slope."""
+    grid = np.linspace(-1.0, 1.0, _KAPPA_GRID)
+    vals = np.array([[fn(y, q) for q in grid] for y in (-1.0, 1.0)])
+    return vals, float((np.abs(np.diff(vals, axis=1)) / (grid[1] - grid[0])).max())
+
+
 @dataclass(frozen=True)
 class LossFunction:
     """A loss l(y, q) for y in {-1, +1}, q in [-1, 1].
@@ -637,30 +644,18 @@ class LossFunction:
         return float(self.fn(y, q))
 
     def __post_init__(self):
-        grid = np.linspace(-1.0, 1.0, _KAPPA_GRID)
-        for y in (-1.0, 1.0):
-            vals = np.array([self.fn(y, q) for q in grid])
-            slopes = np.abs(np.diff(vals)) / (grid[1] - grid[0])
-            if slopes.size and slopes.max() > self.kappa + 1e-9:
-                raise ValueError(
-                    f"kappa = {self.kappa} is below the observed grid slope {slopes.max()}"
-                )
-            if self.convex:
-                mid = (vals[:-2] + vals[2:]) / 2.0
-                if (vals[1:-1] > mid + 1e-9).any():
-                    raise ValueError("loss flagged convex fails the grid convexity check")
+        vals, slope = _grid_slope(self.fn)
+        if slope > self.kappa + 1e-9:
+            raise ValueError(f"kappa = {self.kappa} is below the observed grid slope {slope}")
+        if self.convex:
+            mid = (vals[:, :-2] + vals[:, 2:]) / 2.0
+            if (vals[:, 1:-1] > mid + 1e-9).any():
+                raise ValueError("loss flagged convex fails the grid convexity check")
 
     @classmethod
     def from_callable(cls, fn, convex: bool, analytic_tau=None, name="loss"):
         """Build with kappa measured from the grid, rounded up to 0.1."""
-        grid = np.linspace(-1.0, 1.0, _KAPPA_GRID)
-        sup = 0.0
-        for y in (-1.0, 1.0):
-            vals = np.array([fn(y, q) for q in grid])
-            slopes = np.abs(np.diff(vals)) / (grid[1] - grid[0])
-            if slopes.size:
-                sup = max(sup, float(slopes.max()))
-        kappa = math.ceil(sup * 10.0 - 1e-9) / 10.0
+        kappa = math.ceil(_grid_slope(fn)[1] * 10.0 - 1e-9) / 10.0
         return cls(fn=fn, kappa=kappa, convex=convex, analytic_tau=analytic_tau, name=name)
 
 

@@ -25,11 +25,11 @@ class LabeledSequence:
     source_tag: str | None = None
 
     def __post_init__(self):
-        pairs = tuple((int(x), int(y)) for x, y in self.pairs)
-        for x, y in pairs:
-            if y not in (-1, 1):
-                raise ValueError("labels must be -1 or +1")
-        object.__setattr__(self, "pairs", pairs)
+        pairs = tuple(self.pairs)
+        for _, y in pairs:
+            if isinstance(y, bool) or y not in (-1, 1):  # checked before int() truncates
+                raise ValueError(f"labels must be -1 or +1, got {y!r}")
+        object.__setattr__(self, "pairs", tuple((int(x), int(y)) for x, y in pairs))
 
     def __len__(self):
         return len(self.pairs)

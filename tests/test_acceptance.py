@@ -48,7 +48,6 @@ from comparelearn import (
     mutual_vc,
     omnipredict,
     packing_number,
-    pi_proj,
     regression_loss,
     rng_stream,
     round_model,
@@ -422,7 +421,7 @@ def test_criterion_09_boosting():
         )
         f = random_real_model(rng, n)
         rho = sum(
-            p * (0.0 if y == 0 else abs(y - pi_proj(y, f.values[x])) / abs(y))
+            p * (0.0 if y == 0 else abs(y - min(max(f.values[x], min(0.0, y)), max(0.0, y))) / abs(y))
             for x, y, p in zip(dist.xs, dist.ys, dist.ps)
         )
         Phi = sum(

@@ -202,6 +202,31 @@ def test_online_replay_outputs(tmp_path, class_files):
     assert len(lines) == 31
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,1.5\n1,-1\n", "labels must be -1 or +1, got 1.5"),  # int() would play +1
+        ("0,1\n-1,1\n", "x_index must lie in [0, 3), got -1"),  # would wrap to the last point
+        ("0,1\n3,1\n", "x_index must lie in [0, 3), got 3"),
+    ],
+)
+def test_online_replay_bad_rows_exit_2(tmp_path, capsys, rows, message):
+    hp, datap, rp = tmp_path / "H.json", tmp_path / "seq.csv", tmp_path / "report.json"
+    write_json(hp, class_to_json(BinaryClass(Domain(3), [[1, -1, 1], [-1, -1, 1]])))
+    datap.write_text("x_index,y\n" + rows)
+    code = main(
+        [
+            "online", "--learner", "rwm", "--hypothesis-class", str(hp),
+            "--adversary", "replay", "--replay", str(datap), "--rounds", "2",
+            "--out-report", str(rp),
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not rp.exists()
+
+
 def test_eval_nan_distribution_exit_2(capsys, tmp_path):
     mp = tmp_path / "f.json"
     write_json(mp, {"domain": {"size": 2}, "kind": "real", "values": [0.5, -0.5]})

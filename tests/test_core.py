@@ -18,26 +18,28 @@ from comparelearn import (
     RealClass,
     RealHypothesis,
     RealModel,
-    agreement,
     agreement_class,
     as_real_class,
     binarize_class,
-    binarize_hypothesis,
-    chi,
     class_from_json,
     class_to_json,
     discretize_labels,
-    gen_product,
     model_from_json,
     model_to_json,
     multi_agreement_class,
-    pi_proj,
-    proj_interval,
     shift_scale_class,
     sigma_mask_class,
-    sign,
 )
-from comparelearn.core import _agreement_matrix, _dedup_rows, validate_sign_vector
+from comparelearn.core import (
+    _agreement_matrix,
+    _dedup_rows,
+    chi_arr,
+    gen_product_arr,
+    pi_proj_arr,
+    proj_interval_arr,
+    sign_arr,
+    validate_sign_vector,
+)
 from conftest import random_binary_class, random_real_class, random_real_model
 
 from comparelearn import rng_stream
@@ -46,52 +48,53 @@ from comparelearn import rng_stream
 NON_LABELS = (2, -2, 127, -128)
 
 
-# --- scalar ops -------------------------------------------------------------
+# --- elementwise ops ----------------------------------------------------------
 
 
 def test_sign_at_zero_is_plus_one():
-    assert sign(0) == 1
-    assert sign(0.0) == 1
+    assert sign_arr(0) == 1
+    assert sign_arr(0.0) == 1
 
 
 def test_sign_examples():
-    assert sign(-0.3) == -1
-    assert sign(2.5) == 1
+    assert sign_arr(-0.3) == -1
+    assert sign_arr(2.5) == 1
 
 
 def test_gen_product_star_branch():
-    assert gen_product(0.5, STAR) == -0.5
-    assert gen_product(-0.3, 0.5) == pytest.approx(-0.15)
-    assert gen_product(0, STAR) == 0
+    # * is NaN in a real label array
+    assert gen_product_arr(0.5, np.nan) == -0.5
+    assert gen_product_arr(-0.3, 0.5) == pytest.approx(-0.15)
+    assert gen_product_arr(0, np.nan) == 0
 
 
 @given(st.floats(-5, 5, allow_nan=False))
 def test_gen_product_star_is_infimum(u1):
     # u1 <> * equals inf over v in [-1, 1] of u1 * v, checked on a grid
     grid = np.linspace(-1, 1, 201)
-    assert gen_product(u1, STAR) == pytest.approx((u1 * grid).min(), abs=1e-9)
+    assert gen_product_arr(u1, np.nan) == pytest.approx((u1 * grid).min(), abs=1e-9)
 
 
 @given(st.floats(-5, 5, allow_nan=False), st.floats(-1, 1, allow_nan=False))
 def test_gen_product_defined_is_plain_product(u1, u2):
-    assert gen_product(u1, u2) == u1 * u2
+    assert gen_product_arr(u1, u2) == u1 * u2
 
 
 def test_proj_interval():
-    assert proj_interval(1.7) == 1
-    assert proj_interval(-3) == -1
-    assert proj_interval(0.2) == 0.2
+    assert proj_interval_arr(1.7) == 1
+    assert proj_interval_arr(-3) == -1
+    assert proj_interval_arr(0.2) == 0.2
 
 
 def test_pi_proj_paper_examples():
-    assert pi_proj(0.6, 0.9) == 0.6
-    assert pi_proj(0.6, -0.2) == 0
-    assert pi_proj(-0.6, -0.3) == -0.3
+    assert pi_proj_arr(0.6, 0.9) == 0.6
+    assert pi_proj_arr(0.6, -0.2) == 0
+    assert pi_proj_arr(-0.6, -0.3) == -0.3
 
 
 @given(st.floats(-2, 2, allow_nan=False), st.floats(-2, 2, allow_nan=False))
 def test_pi_proj_range_and_fixpoint(y, u):
-    v = pi_proj(y, u)
+    v = pi_proj_arr(y, u)
     lo, hi = min(0, y), max(0, y)
     assert lo <= v <= hi
     if lo <= u <= hi:
@@ -251,19 +254,24 @@ def test_immutability():
 # --- binarization -------------------------------------------------------------
 
 
+def _binarize_one(h, eta, r):
+    """A single hypothesis binarized as the one-member class."""
+    return binarize_class(RealClass(h.domain, [h]), eta, r).member(0)
+
+
 def test_binarize_hypothesis_examples():
     d = Domain(3)
     h = RealHypothesis(d, [0.8, 0.4, STAR])
-    out = binarize_hypothesis(h, 0.5, 0.0)
+    out = _binarize_one(h, 0.5, 0.0)
     assert out.labels() == [1, STAR, STAR]
     low = RealHypothesis(d, [-0.8, -0.4, 0.0])
-    assert binarize_hypothesis(low, 0.5, 0.0).labels() == [-1, STAR, STAR]
+    assert _binarize_one(low, 0.5, 0.0).labels() == [-1, STAR, STAR]
 
 
 def test_binarize_eta_zero_total_gives_sign_except_ties():
     d = Domain(3)
     h = RealHypothesis(d, [0.3, 0.0, -0.2])
-    out = binarize_hypothesis(h, 0.0, 0.0)
+    out = _binarize_one(h, 0.0, 0.0)
     assert out.labels() == [1, STAR, -1]  # exact tie h(x) = r(x) maps to *
 
 
@@ -305,11 +313,16 @@ def test_binarize_class_matches_pointwise_oracle():
 # --- agreement ------------------------------------------------------------------
 
 
+def _agreement_one(s, b):
+    """a_{s,b} as the agreement class of two one-member classes."""
+    return agreement_class(BinaryClass(s.domain, [s]), BinaryClass(b.domain, [b])).member(0)
+
+
 def test_agreement_pointwise():
     d = Domain(3)
     s = BinaryHypothesis(d, [1, 1, STAR])
     b = BinaryHypothesis(d, [1, -1, 1])
-    assert agreement(s, b).labels() == [1, STAR, STAR]
+    assert _agreement_one(s, b).labels() == [1, STAR, STAR]
 
 
 def test_agreement_symmetric_and_claim_semantics():
@@ -319,8 +332,8 @@ def test_agreement_symmetric_and_claim_semantics():
         d = Domain(4)
         s = BinaryHypothesis(d, vals[0].astype(np.int8))
         b = BinaryHypothesis(d, vals[1].astype(np.int8))
-        ab = agreement(s, b)
-        assert agreement(b, s) == ab
+        ab = _agreement_one(s, b)
+        assert _agreement_one(b, s) == ab
         for x in range(4):
             for y in (-1, 1):
                 lhs = ab.label(x) == y
@@ -337,7 +350,9 @@ def test_agreement_class_matches_bruteforce_table():
     table = set()
     for i in range(len(S)):
         for j in range(len(B)):
-            table.add(tuple(agreement(S.member(i), B.member(j)).labels()))
+            s, b = S.member(i).labels(), B.member(j).labels()
+            # the shared label where s(x) = b(x) in {-1, +1}, else *
+            table.add(tuple(u if u is not STAR and u == v else STAR for u, v in zip(s, b)))
     assert {tuple(m.labels()) for m in A.members()} == table
 
 
@@ -444,6 +459,11 @@ def test_chi_and_identity_mask():
     assert neg.member(0).labels() == [-0.5, 0.3, STAR]
 
 
+def _chi(sigma, k, u):
+    """sigma_j for the 0-based cell j of u in the k-cell partition of [-1, 1]."""
+    return sigma[min(max(math.ceil((u + 1.0) * k / 2.0), 1), k) - 1]
+
+
 def test_sigma_mask_matches_pointwise():
     rng = rng_stream(11, 7)
     part = IntervalPartition(2)
@@ -459,7 +479,7 @@ def test_sigma_mask_matches_pointwise():
             if np.isnan(v):
                 row.append(STAR)
             else:
-                row.append(chi(sigma, part, f.values[x]) * v)
+                row.append(_chi(sigma, part.k, f.values[x]) * v)
         expected.add(tuple(row))
     assert {tuple(m.labels()) for m in out.members()} == expected
 
@@ -468,14 +488,14 @@ def test_chi_piecewise_constant_with_partition_breakpoints():
     part = IntervalPartition(4)
     sigma = validate_sign_vector([1, -1, -1, 1], 4)
     grid = np.linspace(-1, 1, 4001)
-    vals = np.array([chi(sigma, part, u) for u in grid])
+    vals = chi_arr(sigma, part, grid)
     changes = grid[1:][vals[1:] != vals[:-1]]
     # every change point is adjacent to a breakpoint of the partition
     for c in changes:
         assert np.abs(part.breakpoints - c).min() < 1e-3
     # exactly one cell claims each u
     for u in (-1.0, -0.5, 0.0, 0.25, 1.0):
-        idx = part.cell_index(u)
+        idx = part.cell_indices(u)
         assert 0 <= idx < 4
 
 
@@ -490,10 +510,10 @@ def test_partition_cell_indices_reject_star():
 def test_partition_cells_cover_exactly():
     part = IntervalPartition(3)
     # boundary membership: cell 1 = [-1, -1+2/3], others half-open
-    assert part.cell_index(-1.0) == 0
-    assert part.cell_index(-1 + 2 / 3) == 0
-    assert part.cell_index(-1 + 2 / 3 + 1e-12) == 1
-    assert part.cell_index(1.0) == 2
+    assert part.cell_indices(-1.0) == 0
+    assert part.cell_indices(-1 + 2 / 3) == 0
+    assert part.cell_indices(-1 + 2 / 3 + 1e-12) == 1
+    assert part.cell_indices(1.0) == 2
 
 
 # --- JSON round-trips ------------------------------------------------------------

@@ -38,6 +38,7 @@ from comparelearn import (
 from comparelearn.experiments import (
     GOAL_ATOL,
     TaskSpec,
+    _ENTRY_DEFAULTS,
     _all_sign_patterns,
     _validate_config,
     c4_correlations_exact,
@@ -378,7 +379,12 @@ def test_paper_suite_config_validates():
 
     blob = res.files("comparelearn").joinpath("data/paper_suite.json").read_text()
     cfg = json.loads(blob)
-    assert _validate_config(cfg) is cfg
+    given = json.loads(blob)
+    checked = _validate_config(cfg)
+    assert cfg == given  # the config as given is left as it is
+    assert checked["seed"] == cfg["seed"]
+    assert checked["record_millis"] is cfg.get("record_millis", False)
+    assert checked["experiments"] == [{**_ENTRY_DEFAULTS, **e} for e in cfg["experiments"]]
     names = {e["scenario"] for e in cfg["experiments"]}
     assert names == {"figure1", "c1", "c2", "c3", "c4"}
 
@@ -403,6 +409,48 @@ def test_paper_suite_summary_matches_acceptance_claims(tmp_path):
     # the bundled suite's replay is byte-identical (value on numpy 2.4.6)
     digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
     assert digest == "744da5599661be5a06bd0b056102bc045df57971c1b792e98447777ef8e8db31"
+
+
+def test_omitted_defaults_replay_like_written_defaults(tmp_path):
+    short = {
+        "seed": 7,
+        "experiments": [
+            {"scenario": "figure1", "m": 1},
+            {"scenario": "c1", "m": 1},
+            {"scenario": "c3", "m": 1},
+            {"scenario": "c4", "m": 1},
+        ],
+    }
+    full = {
+        "seed": 7,
+        "record_millis": False,
+        "experiments": [
+            {
+                "scenario": name,
+                "m": 1,
+                "direction": "forward",
+                "epsilon": 0.0,
+                "delta": 0.0,
+                "grid": [0],
+                "trials": 1,
+                "mode": "sampled",
+                "learner": "default",
+            }
+            for name in ("figure1", "c1", "c3", "c4")
+        ],
+    }
+    assert _validate_config(short) == _validate_config(full)
+    run_experiment(short, tmp_path / "short")
+    run_experiment(full, tmp_path / "full")
+    for path in ("results.csv", "curves/figure1_forward_m1.dat"):
+        assert (tmp_path / "short" / path).read_bytes() == (tmp_path / "full" / path).read_bytes()
+    # the summary hashes each config as given
+    digests = [
+        json.loads((tmp_path / run / "summary.json").read_text())["config_sha256"]
+        for run in ("short", "full")
+    ]
+    assert digests[0] == hashlib.sha256(json.dumps(short, sort_keys=True).encode()).hexdigest()
+    assert digests[1] == hashlib.sha256(json.dumps(full, sort_keys=True).encode()).hexdigest()
 
 
 def test_millis_column_zero_by_default(tmp_path):

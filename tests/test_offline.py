@@ -44,7 +44,6 @@ from comparelearn import (
     erm_agnostic,
     erm_realizable,
     exact_weak_oracle,
-    gen_product,
     ma_error,
     ma_mc_learn,
     make_distribution,
@@ -54,7 +53,6 @@ from comparelearn import (
     mutual_vc,
     omni_learn,
     omnipredict,
-    pi_proj,
     regression_loss,
     rng_stream,
     round_model,
@@ -78,6 +76,11 @@ from conftest import (
     random_real_class,
     random_real_model,
 )
+
+
+def _pi_proj(y, u):
+    """Projection of u into [0, y] (or [y, 0] when y < 0)."""
+    return min(max(u, min(0.0, y)), max(0.0, y))
 
 
 def det_dist(svals, mu):
@@ -741,7 +744,7 @@ def test_phi_potential_closed_form():
     for y in np.linspace(-1, 1, 9):
         for u in np.linspace(-1.5, 1.5, 13):
             ts = np.linspace(y, u, 4001)
-            quad = float(np.trapezoid([pi_proj(y, t) - y for t in ts], ts))
+            quad = float(np.trapezoid([_pi_proj(y, t) - y for t in ts], ts))
             assert phi_potential(y, u) == pytest.approx(quad, abs=1e-4)
 
 
@@ -750,7 +753,7 @@ def test_claim_smoothness_grid():
     for y in grid:
         for u in grid:
             base = phi_potential(y, u)
-            slope = pi_proj(y, u) - y
+            slope = _pi_proj(y, u) - y
             for up in grid:
                 assert phi_potential(y, up) <= base + slope * (up - u) + 0.5 * (up - u) ** 2 + 1e-12
 
@@ -766,7 +769,7 @@ def test_claim_rho_dominates_phi():
         phi = 0.0
         for x, y, p in zip(dist.xs, dist.ys, dist.ps):
             u = f.values[x]
-            rho += p * (0.0 if y == 0 else abs(y - pi_proj(y, u)) / abs(y))
+            rho += p * (0.0 if y == 0 else abs(y - _pi_proj(y, u)) / abs(y))
             phi += p * phi_potential(y, u)
         assert rho >= (2 / 3) * phi - 1e-12
 
@@ -832,7 +835,7 @@ def test_boost_potential_decreases_per_iteration():
     def rho(fvals):
         return float(
             sum(
-                pmass * (0.0 if y == 0 else abs(y - pi_proj(y, fvals[x])) / abs(y))
+                pmass * (0.0 if y == 0 else abs(y - _pi_proj(y, fvals[x])) / abs(y))
                 for x, y, pmass in zip(dist.xs, dist.ys, dist.ps)
             )
         )
@@ -840,7 +843,7 @@ def test_boost_potential_decreases_per_iteration():
     def resid_corr(fvals, gvals):
         return float(
             sum(
-                pmass * (y - pi_proj(y, fvals[x])) * gvals[x]
+                pmass * (y - _pi_proj(y, fvals[x])) * gvals[x]
                 for x, y, pmass in zip(dist.xs, dist.ys, dist.ps)
             )
         )
@@ -851,7 +854,7 @@ def test_boost_potential_decreases_per_iteration():
         if ev.get("branch") == "calibrate" and ev.get("updated"):
             true_sign_cal = float(
                 sum(
-                    pmass * (y - pi_proj(y, fv[x])) * (1 if fv[x] >= 0 else -1)
+                    pmass * (y - _pi_proj(y, fv[x])) * (1 if fv[x] >= 0 else -1)
                     for x, y, pmass in zip(dist.xs, dist.ys, dist.ps)
                 )
             )
@@ -945,12 +948,13 @@ def test_boosting_plan_shapes():
 def test_loss_kappa_from_grid():
     assert squared_loss().kappa == pytest.approx(4.0)
     assert absolute_loss().kappa == pytest.approx(1.0)
+    assert (squared_loss().kappa, absolute_loss().kappa) == (4.0, 1.0)  # rounded up to 0.1
 
 
 def test_loss_rejects_understated_kappa_and_fake_convexity():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="below the observed grid slope"):
         LossFunction(fn=lambda y, q: (y - q) ** 2, kappa=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fails the grid convexity check"):
         LossFunction(fn=lambda y, q: -((y - q) ** 2), kappa=4.0, convex=True)
 
 

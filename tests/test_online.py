@@ -56,6 +56,19 @@ def test_soa_singleton_never_errs():
     assert report.learner_rate == 0.0
 
 
+@pytest.mark.parametrize("label", [1.5, -1.7, 0.5, 0, True, "1"])
+def test_labeled_sequence_rejects_non_sign_label(label):
+    # checked before int(), which would truncate 1.5 to +1 and -1.7 to -1
+    with pytest.raises(ValueError, match=r"labels must be -1 or \+1"):
+        LabeledSequence(((0, 1), (1, label)))
+
+
+def test_labeled_sequence_reads_exact_sign_labels_as_int():
+    seq = LabeledSequence(((0, 1.0), (1, -1.0), (2, np.int8(1)), (np.int64(3), np.float64(-1.0))))
+    assert seq.pairs == ((0, 1), (1, -1), (2, 1), (3, -1))
+    assert all(type(v) is int for pair in seq for v in pair)
+
+
 def max_soa_mistakes_exhaustive(H, horizon):
     """Worst-case SOA mistakes over all realizable sequences of given length."""
     oracle_masks = {}

@@ -34,7 +34,7 @@ from comparelearn import (
     rng_stream,
     sign_cal_error,
 )
-from comparelearn.core import ConfigError, as_real_hypothesis, gen_product_arr
+from comparelearn.core import ConfigError, gen_product_arr
 from comparelearn.experiments import _support_rows
 from comparelearn.offline import round_model, squared_loss
 from comparelearn.stat_model import (
@@ -265,6 +265,11 @@ def test_ma_error_source_ber_star_nonpositive():
 # --- multicalibration -----------------------------------------------------------------
 
 
+def _cell_of(k, u):
+    """0-based cell of u: cell 1 is [-1, -1 + 2/k], cell i is (-1 + (2i-2)/k, -1 + 2i/k]."""
+    return min(max(math.ceil((u + 1.0) * k / 2.0), 1), k) - 1
+
+
 def oracle_mc_cells(fvals, Bmatrix, dist, cell_of):
     best = -np.inf
     cells = sorted({cell_of(fvals[x]) for x in dist.xs})
@@ -317,7 +322,7 @@ def test_mc_error_matches_oracle():
         f = random_real_model(rng, n)
         B = random_real_class(rng, n, 5)
         got = mc_error_lambda(f, B, dist, part)
-        exp = oracle_mc_cells(f.values, B.matrix, dist, part.cell_index)
+        exp = oracle_mc_cells(f.values, B.matrix, dist, lambda u: _cell_of(part.k, u))
         assert got == pytest.approx(exp, abs=1e-12)
         got_v = mc_error(f, B, dist)
         exp_v = oracle_mc_cells(f.values, B.matrix, dist, lambda v: v)
@@ -571,7 +576,7 @@ def test_scalar_functionals_match_reference_formulas(case):
         assert corr_partial(h, dist) == _ref_corr_partial(h.values, dist)
     for row in binary:
         h = BinaryHypothesis(d, row)
-        assert corr_partial(h, dist) == _ref_corr_partial(as_real_hypothesis(h).values, dist)
+        assert corr_partial(h, dist) == _ref_corr_partial(np.where(h.values == 0, np.nan, h.values), dist)
 
 
 @settings(max_examples=300, deadline=None)
