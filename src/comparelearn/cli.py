@@ -70,6 +70,8 @@ def _witness_json(result: dimensions.DimensionResult):
 
 
 def cmd_dims(args) -> None:
+    if args.dist is not None and args.packing is None:
+        raise ConfigError("--dist is read only with --packing")
     classes = [_load_class(path) for path in args.classes]
     mutual = "mutual_" if len(classes) > 1 else ""
     if len(classes) > 2 and any(v is not None for v in (args.margin, args.margins, args.packing)):
@@ -274,10 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("dims", help="dimensions of one or more class files")
     d.add_argument("classes", nargs="+", help="class JSON file(s)")
-    d.add_argument("--margin", type=float, default=None, help="fat-shattering margin")
-    d.add_argument("--margins", default=None, help="two margins eta1,eta2")
-    d.add_argument("--ldim", action="store_true", help="Littlestone dimension")
-    d.add_argument("--packing", type=float, default=None, help="packing number at eps")
+    which = d.add_mutually_exclusive_group()
+    which.add_argument("--margin", type=float, default=None, help="fat-shattering margin")
+    which.add_argument("--margins", default=None, help="two margins eta1,eta2")
+    which.add_argument("--ldim", action="store_true", help="Littlestone dimension")
+    which.add_argument("--packing", type=float, default=None, help="packing number at eps")
     d.add_argument("--dist", default=None, help="distribution JSON for --packing")
     d.set_defaults(func=cmd_dims)
 

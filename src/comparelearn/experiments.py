@@ -34,6 +34,7 @@ from .core import (
     GuardError,
     RealClass,
     RealModel,
+    _json_float,
     _real_view,
 )
 from .offline import (
@@ -134,28 +135,12 @@ def goal_satisfied(spec: TaskSpec, model, mu: DiscreteDistribution) -> bool:
 SCENARIO_SUBCLASS_CAP = 512
 
 
-def _exactly_k_ones(n: int, k: int) -> BinaryClass:
-    rows = []
-    for ones in combinations(range(n), k):
-        row = -np.ones(n, dtype=np.int8)
-        row[list(ones)] = 1
-        rows.append(row)
-    return BinaryClass(Domain(n), np.stack(rows))
-
-
-def _exactly_k_ones_sampled(n: int, k: int, cap: int, rng: np.random.Generator) -> BinaryClass:
-    """A seeded random subclass of the exactly-k-ones class, without repeats."""
-    seen = set()
-    rows = []
-    while len(rows) < cap:
-        ones = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-        if ones in seen:
-            continue
-        seen.add(ones)
-        row = -np.ones(n, dtype=np.int8)
-        row[list(ones)] = 1
-        rows.append(row)
-    return BinaryClass(Domain(n), np.stack(rows))
+def _k_ones_class(n: int, sets) -> BinaryClass:
+    """Member i is +1 exactly on the i-th index set of ``sets`` (all of one size)."""
+    sets = np.array(list(sets), dtype=np.int64)
+    rows = -np.ones((len(sets), n), dtype=np.int8)
+    np.put_along_axis(rows, sets, 1, axis=1)
+    return BinaryClass(Domain(n), rows)
 
 
 def _all_sign_patterns(n: int) -> np.ndarray:
@@ -172,6 +157,16 @@ def _subset_uniform(n: int, subset) -> np.ndarray:
     mu = np.zeros(n)
     mu[list(subset)] = 1.0 / len(subset)
     return mu
+
+
+def _family(sources, laws, marginals) -> list[DiscreteDistribution]:
+    """One distribution per (member, marginal, law) of ``sources``, in that nesting order."""
+    return [
+        make_distribution(mu_x, SourceModel(hyp, law))
+        for hyp in map(sources.member, range(len(sources)))
+        for mu_x in marginals
+        for law in laws
+    ]
 
 
 def scenario(
@@ -224,12 +219,7 @@ def _scenario_figure1(m: int, epsilon: float, delta: float) -> TaskSpec:
     free = _all_sign_patterns(m)
     S = BinaryClass(domain, np.hstack([np.ones((2**m, m), dtype=np.int8), free]))
     B = BinaryClass(domain, np.hstack([free, np.ones((2**m, m), dtype=np.int8)]))
-    family = []
     subsets = [s for r in range(1, n + 1) for s in combinations(range(n), r)]
-    for i in range(len(S)):
-        src = SourceModel(S.member(i), DETERMINISTIC)
-        for sub in subsets:
-            family.append(make_distribution(_subset_uniform(n, sub), src))
     return TaskSpec(
         name="figure1",
         kind="compl",
@@ -237,7 +227,7 @@ def _scenario_figure1(m: int, epsilon: float, delta: float) -> TaskSpec:
         benchmark=B,
         epsilon=epsilon,
         delta=delta,
-        mu_family=family,
+        mu_family=_family(S, (DETERMINISTIC,), [_subset_uniform(n, sub) for sub in subsets]),
         baseline_model=BinaryModel.constant(domain, 1),
         meta={"m": m},
     )
@@ -248,20 +238,23 @@ def _scenario_c1(m: int, direction: str, epsilon: float, delta: float) -> TaskSp
     domain = Domain(n)
     exhaustive = m <= SCENARIO_EXHAUSTIVE_M
     if exhaustive:
-        S = _exactly_k_ones(n, m)
-        B = _exactly_k_ones(n, 2 * m)
+        def k_sets(k):
+            return combinations(range(n), k)
     else:
         # class sizes are binomial in 4m: beyond the exhaustive guard the
         # scenario uses a seeded random subclass (documented subfamily mode)
         gen_rng = rng_stream(0xC1, m)
-        S = _exactly_k_ones_sampled(n, m, SCENARIO_SUBCLASS_CAP, gen_rng)
-        B = _exactly_k_ones_sampled(n, 2 * m, SCENARIO_SUBCLASS_CAP, gen_rng)
+
+        def k_sets(k):  # distinct sorted draws, in the order first drawn
+            sets = {}
+            while len(sets) < SCENARIO_SUBCLASS_CAP:
+                sets[tuple(sorted(gen_rng.choice(n, size=k, replace=False).tolist()))] = None
+            return sets
+
+    S, B = (_k_ones_class(n, k_sets(k)) for k in (m, 2 * m))
     mu_x = _uniform(n)
     src_cls, bench_cls = (S, B) if direction == "forward" else (B, S)
-    family = [
-        make_distribution(mu_x, SourceModel(src_cls.member(i), DETERMINISTIC))
-        for i in range(len(src_cls))
-    ]
+    family = _family(src_cls, (DETERMINISTIC,), (mu_x,))
 
     def gen(rng: np.random.Generator) -> DiscreteDistribution:
         return family[int(rng.integers(len(family)))]
@@ -291,36 +284,21 @@ def _scenario_c2(m: int, direction: str, epsilon: float, delta: float) -> TaskSp
     S = RealClass(domain, (signs.astype(np.float64) + 1.0) / 2.0)  # {0, 1}-valued
     B = RealClass(domain, signs.astype(np.float64))
     mu_x = _uniform(n)
-    if direction == "forward":
-        family = []
-        for i in range(len(S)):
-            hyp = S.member(i)
-            family.append(make_distribution(mu_x, SourceModel(hyp, DETERMINISTIC)))
-            family.append(make_distribution(mu_x, SourceModel(hyp, BER_STAR)))
-        return TaskSpec(
-            name="c2",
-            kind="corm",
-            source=S,
-            benchmark=B,
-            epsilon=epsilon,
-            delta=delta,
-            mu_family=family,
-            baseline_model=BinaryModel.constant(domain, 1),
-            meta={"m": m, "direction": direction},
-        )
-    family = [
-        make_distribution(mu_x, SourceModel(B.member(i), DETERMINISTIC))
-        for i in range(len(B))
-    ]
+    forward = direction == "forward"
+    # forward maximizes correlation against Ber* labels too; reversed is
+    # distribution-specific with deterministic sign labels
+    src_cls, bench_cls = (S, B) if forward else (B, S)
+    laws = (DETERMINISTIC, BER_STAR) if forward else (DETERMINISTIC,)
     return TaskSpec(
         name="c2",
-        kind="dcorm",
-        source=B,
-        benchmark=S,
+        kind="corm" if forward else "dcorm",
+        source=src_cls,
+        benchmark=bench_cls,
         epsilon=epsilon,
         delta=delta,
-        mu_family=family,
-        mu_x=mu_x,
+        mu_family=_family(src_cls, laws, (mu_x,)),
+        mu_x=None if forward else mu_x,
+        baseline_model=BinaryModel.constant(domain, 1) if forward else None,
         meta={"m": m, "direction": direction},
     )
 
@@ -333,12 +311,7 @@ def _scenario_c3(m: int, direction: str, epsilon: float, delta: float) -> TaskSp
     S = RealClass(domain, signs.astype(np.float64) / 2.0)  # {-1/2, 1/2}-valued
     B = RealClass(domain, signs.astype(np.float64))
     mu_x = _uniform(m)
-    loss = squared_loss()
     src_cls, bench_cls = (S, B) if direction == "forward" else (B, S)
-    family = [
-        make_distribution(mu_x, SourceModel(src_cls.member(i), BER_STAR))
-        for i in range(len(src_cls))
-    ]
     return TaskSpec(
         name="c3",
         kind="compr",
@@ -346,8 +319,8 @@ def _scenario_c3(m: int, direction: str, epsilon: float, delta: float) -> TaskSp
         benchmark=bench_cls,
         epsilon=epsilon,
         delta=delta,
-        loss=loss,
-        mu_family=family,
+        loss=squared_loss(),
+        mu_family=_family(src_cls, (BER_STAR,), (mu_x,)),
         mu_x=mu_x if direction == "reversed" else None,
         baseline_model=RealModel.constant(domain, 0.0) if direction == "forward" else None,
         meta={"m": m, "direction": direction},
@@ -355,42 +328,21 @@ def _scenario_c3(m: int, direction: str, epsilon: float, delta: float) -> TaskSp
 
 
 def _scenario_c4(m: int, epsilon: float, delta: float) -> TaskSpec:
-    """Bottom point plus a 4 x m grid; E[s(x) b(x)] does not depend on s."""
+    """Bottom point plus a 4 x m grid; E[s(x) b(x)] does not depend on s.
+
+    Point 0 is the bottom point; grid row i in 1..4 is the block of points
+    1 + (i - 1) m .. i m, one column block per row below.
+    """
     if m > 8:
         raise GuardError("c4 enumerates 2^m sources and 4^m benchmarks; m <= 8")
-    n = 1 + 4 * m
-    domain = Domain(n)
-
-    def a(i: int, j: int) -> int:  # i in 1..4, j in 0..m-1
-        return 1 + (i - 1) * m + j
-
-    s_rows = []
-    for bits in _all_sign_patterns(m):
-        row = np.empty(n)
-        row[0] = 1.0
-        for j in range(m):
-            h = float(bits[j])
-            row[a(1, j)] = (h + 2.0) / 3.0
-            row[a(2, j)] = (-h + 2.0) / 3.0
-            row[a(3, j)] = (h - 2.0) / 3.0
-            row[a(4, j)] = (-h - 2.0) / 3.0
-        s_rows.append(row)
-    S = RealClass(domain, np.stack(s_rows))
-    b_rows = []
-    for pbits in _all_sign_patterns(m):
-        for rbits in _all_sign_patterns(m):
-            row = np.empty(n)
-            row[0] = 0.0
-            for j in range(m):
-                row[a(1, j)] = float(rbits[j])
-                row[a(2, j)] = float(pbits[j])
-                row[a(3, j)] = -float(rbits[j])
-                row[a(4, j)] = -float(pbits[j])
-            b_rows.append(row)
-    B = RealClass(domain, np.stack(b_rows))
-    mu_x = np.empty(n)
+    domain = Domain(1 + 4 * m)
+    h = _all_sign_patterns(m).astype(np.float64)
+    s_blocks = [(h + 2.0) / 3.0, (-h + 2.0) / 3.0, (h - 2.0) / 3.0, (-h - 2.0) / 3.0]
+    S = RealClass(domain, np.hstack([np.ones((2**m, 1)), *s_blocks]))
+    p, r = np.repeat(h, 2**m, axis=0), np.tile(h, (2**m, 1))  # p outer, r inner
+    B = RealClass(domain, np.hstack([np.zeros((4**m, 1)), r, p, -r, -p]))
+    mu_x = np.full(domain.size, 1.0 / (8 * m))
     mu_x[0] = 0.5
-    mu_x[1:] = 1.0 / (8 * m)
     return TaskSpec(
         name="c4",
         kind="corm",
@@ -403,6 +355,29 @@ def _scenario_c4(m: int, epsilon: float, delta: float) -> TaskSpec:
     )
 
 
+def _scaled_ints(values: np.ndarray, scale: int, what: str) -> np.ndarray:
+    """``values * scale`` as int64; ValueError unless every value is a multiple of 1/scale."""
+    ints = np.rint(values * scale)
+    if not (np.abs(values - ints / scale) < 1e-12).all():
+        raise ValueError(f"unexpected c4 {what}: not all multiples of 1/{scale}")
+    return ints.astype(np.int64)
+
+
+def _c4_numerators(spec: TaskSpec) -> tuple[np.ndarray, int]:
+    """E[s(x) b(x)] for every (benchmark, source) pair as int64 numerators over one denominator.
+
+    Source and benchmark values must be multiples of 1/3 and the masses of
+    mu_x multiples of 1/(8m), so the sums are exact in integers.
+    """
+    if spec.name != "c4":
+        raise ValueError("c4_correlations_exact needs a c4 scenario")
+    m = spec.meta["m"]
+    weights = _scaled_ints(spec.mu_x, 8 * m, "mass")
+    S = _scaled_ints(spec.source.matrix, 3, "value")
+    B = _scaled_ints(spec.benchmark.matrix, 3, "value")
+    return B @ (S * weights).T, 9 * 8 * m
+
+
 def c4_correlations_exact(spec: TaskSpec) -> list[list[Fraction]]:
     """E[s(x) b(x)] for every (s, b) pair of the c4 scenario, in exact fractions.
 
@@ -410,36 +385,8 @@ def c4_correlations_exact(spec: TaskSpec) -> list[list[Fraction]]:
     check: each inner list (one per benchmark) must be constant across
     sources, with value (1/(8m)) * (4/3) * sum(p_j + r_j).
     """
-    if spec.name != "c4":
-        raise ValueError("c4_correlations_exact needs a c4 scenario")
-    m = spec.meta["m"]
-    n = spec.source.domain.size
-    mu = [Fraction(1, 2)] + [Fraction(1, 8 * m)] * (n - 1)
-
-    def exactify(v: float) -> Fraction:
-        # c4 values are 0, +-1, +-1/3, +-2/3 by construction
-        for frac in (
-            Fraction(0),
-            Fraction(1),
-            Fraction(-1),
-            Fraction(1, 3),
-            Fraction(-1, 3),
-            Fraction(2, 3),
-            Fraction(-2, 3),
-        ):
-            if abs(v - float(frac)) < 1e-12:
-                return frac
-        raise ValueError(f"unexpected c4 value {v}")
-
-    out = []
-    for bi in range(len(spec.benchmark)):
-        brow = [exactify(float(v)) for v in spec.benchmark.matrix[bi]]
-        per_source = []
-        for si in range(len(spec.source)):
-            srow = [exactify(float(v)) for v in spec.source.matrix[si]]
-            per_source.append(sum(mu[x] * srow[x] * brow[x] for x in range(n)))
-        out.append(per_source)
-    return out
+    numerators, denominator = _c4_numerators(spec)
+    return [[Fraction(v, denominator) for v in row] for row in numerators.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +568,16 @@ _ENTRY_DEFAULTS = {
 }
 
 
+def _is_int(value) -> bool:
+    """Is ``value`` a JSON integer (a bool is not one)?"""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_config(cfg: dict) -> dict:
     """The checked config as a new dict, with every default written out."""
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be an object")
-    if "seed" not in cfg or not isinstance(cfg["seed"], int):
+    if not _is_int(cfg.get("seed")):
         raise ConfigError("config.seed: required integer")
     record_millis = cfg.get("record_millis", False)
     if not isinstance(record_millis, bool):
@@ -643,19 +595,26 @@ def _validate_config(cfg: dict) -> dict:
         name = e.get("scenario")
         if name not in ("figure1", "c1", "c2", "c3", "c4"):
             raise ConfigError(f"{where}.scenario: unknown scenario {name!r}")
-        if not isinstance(e.get("m"), int) or e["m"] < 1:
+        if not _is_int(e.get("m")) or e["m"] < 1:
             raise ConfigError(f"{where}.m: required positive integer")
         if name == "c4":
             continue
         if e["direction"] not in ("forward", "reversed"):
             raise ConfigError(f"{where}.direction: must be forward or reversed")
-        for key in ("epsilon", "delta"):
-            if not isinstance(e[key], (int, float)):
-                raise ConfigError(f"{where}.{key}: must be a number")
+        try:
+            epsilon, delta = (
+                _json_float(e[key], f"{where}.{key}: must be a number") for key in ("epsilon", "delta")
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if not (math.isfinite(epsilon) and epsilon >= 0):
+            raise ConfigError(f"{where}.epsilon: must be a finite nonnegative number, got {epsilon!r}")
+        if not 0 <= delta < 1:
+            raise ConfigError(f"{where}.delta: must lie in [0, 1), got {delta!r}")
         grid = e["grid"]
-        if not isinstance(grid, list) or not all(isinstance(n, int) and n >= 0 for n in grid):
+        if not isinstance(grid, list) or not all(_is_int(n) and n >= 0 for n in grid):
             raise ConfigError(f"{where}.grid: must be a list of nonnegative integers")
-        if not isinstance(e["trials"], int) or e["trials"] < 1:
+        if not _is_int(e["trials"]) or e["trials"] < 1:
             raise ConfigError(f"{where}.trials: must be a positive integer")
         if e["mode"] not in ("sampled", "adversarial"):
             raise ConfigError(f"{where}.mode: must be sampled or adversarial")
@@ -702,8 +661,8 @@ def run_experiment(config: dict, out_dir) -> dict:
         if name == "c4":
             spec = scenario("c4", m)
             t0 = time.perf_counter()
-            table = c4_correlations_exact(spec)
-            ok = sum(1 for per_source in table if len(set(per_source)) == 1)
+            table, _ = _c4_numerators(spec)
+            ok = int((table == table[:, :1]).all(axis=1).sum())  # rows constant across sources
             ms = int((time.perf_counter() - t0) * 1000)
             rows.append(
                 (name, "forward", m, 0, len(table), ok, *wilson_interval(ok, len(table)), seed, ms if record_millis else 0)

@@ -208,21 +208,14 @@ def make_distribution(mu_x, source: SourceModel) -> DiscreteDistribution:
     if np.isnan(svals[support_x]).any():
         raise ValueError("source hypothesis must be defined on the support (no *)")
     atoms = []
-    if source.law == DETERMINISTIC:
-        for x in support_x:
-            atoms.append((int(x), float(svals[x]), float(mu[x])))
-        kind = "binary" if all(abs(svals[x]) == 1.0 for x in support_x) else "real"
-    elif source.law == BER_STAR:
-        for x in support_x:
-            probs = ber_star(float(svals[x]))
-            for y, q in probs.items():
-                if q > 0:
-                    atoms.append((int(x), float(y), float(mu[x]) * q))
-        kind = "binary"
-    else:
-        kind = "binary"
-        for x in support_x:
-            law = source.conditionals.get(int(x))
+    for x in support_x.tolist():
+        # the conditional law of y at x as (y, q) pairs
+        if source.law == DETERMINISTIC:
+            law = [(float(svals[x]), 1.0)]
+        elif source.law == BER_STAR:
+            law = ber_star(float(svals[x])).items()
+        else:
+            law = source.conditionals.get(x)
             if law is None:
                 raise ValueError(f"CUSTOM law missing conditionals for point {x}")
             mean = sum(y * q for y, q in law)
@@ -232,11 +225,8 @@ def make_distribution(mu_x, source: SourceModel) -> DiscreteDistribution:
                 raise ValueError(
                     f"conditional mean at {x} is {mean}, expected s(x) = {svals[x]}"
                 )
-            for y, q in law:
-                if q > 0:
-                    atoms.append((int(x), float(y), float(mu[x]) * q))
-                    if abs(float(y)) != 1.0:
-                        kind = "real"
+        atoms += [(x, float(y), float(mu[x]) * q) for y, q in law if q > 0]
+    kind = "binary" if all(abs(y) == 1.0 for _, y, _ in atoms) else "real"
     return DiscreteDistribution(domain, atoms, kind)
 
 

@@ -91,6 +91,32 @@ def test_dims_margin_flags(capsys, tmp_path):
     assert code == 0 and "mutual_fat2" in out
     code, out = run_main(capsys, ["dims", str(sp), str(bp), "--packing", "0.2"])
     assert code == 0 and out["packing"] >= out["covering_upper"] >= 1
+    dp = tmp_path / "mu.json"
+    write_json(dp, DiscreteDistribution(d, [(0, 1.0, 0.5), (2, -1.0, 0.5)], "binary").to_json())
+    code, out = run_main(capsys, ["dims", str(sp), str(bp), "--packing", "0.2", "--dist", str(dp)])
+    assert code == 0 and out["packing"] >= out["covering_upper"] >= 1
+
+
+def test_dims_conflicting_flags_exit_2(capsys, tmp_path):
+    d = Domain(3)
+    sp, bp = tmp_path / "rS.json", tmp_path / "rB.json"
+    write_json(sp, class_to_json(RealClass(d, [[0.5, -0.5, 0.0], [-0.5, 0.5, 0.5]])))
+    write_json(bp, class_to_json(RealClass(d, [[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])))
+    dp = tmp_path / "mu.json"
+    write_json(dp, DiscreteDistribution(d, [(1, 1.0, 1.0)], "binary").to_json())
+    for flags in (
+        ["--ldim", "--margin", "0.1"],
+        ["--margin", "0.1", "--margins", "0.1,0.2"],
+        ["--packing", "0.2", "--ldim"],
+        ["--margins", "0.1,0.2", "--packing", "0.2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["dims", str(sp), str(bp), *flags])
+        assert exc.value.code == 2 and "not allowed with argument" in capsys.readouterr().err
+    for flags in ([], ["--margin", "0.1"], ["--ldim"]):
+        assert main(["dims", str(sp), str(bp), "--dist", str(dp), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--dist is read only with --packing" in captured.err
 
 
 def test_eval_functionals(capsys, tmp_path):

@@ -106,6 +106,104 @@ def test_c4_invariance_and_value_formula():
         assert per_source[0] == expected
 
 
+def _c4_oracle(spec):
+    """E[s(x) b(x)] for every (b, s) pair by a per-entry Fraction sum."""
+    m = spec.meta["m"]
+    n = spec.source.domain.size
+    mu = [Fraction(1, 2)] + [Fraction(1, 8 * m)] * (n - 1)
+
+    def exactify(v: float) -> Fraction:
+        # c4 values are 0, +-1, +-1/3, +-2/3 by construction
+        for frac in map(Fraction, (0, 1, -1, "1/3", "-1/3", "2/3", "-2/3")):
+            if abs(v - float(frac)) < 1e-12:
+                return frac
+        raise ValueError(f"unexpected c4 value {v}")
+
+    sources = [[exactify(float(v)) for v in row] for row in spec.source.matrix]
+    out = []
+    for brow in spec.benchmark.matrix:
+        brow = [exactify(float(v)) for v in brow]
+        out.append([sum(mu[x] * srow[x] * brow[x] for x in range(n)) for srow in sources])
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_c4_correlations_match_fraction_oracle(m):
+    spec = scenario("c4", m)
+    table = c4_correlations_exact(spec)
+    assert table == _c4_oracle(spec)
+    assert all(isinstance(v, Fraction) for row in table for v in row)
+
+
+def test_c4_table_rejects_values_off_its_grid():
+    spec = scenario("c4", 1)
+    off_value = spec.source.matrix.copy()
+    off_value[0, 1] = 0.5
+    bad = TaskSpec("c4", "corm", RealClass(spec.source.domain, off_value), spec.benchmark,
+                   0.0, 0.0, mu_x=spec.mu_x, meta=spec.meta)
+    with pytest.raises(ValueError, match="multiples of 1/3"):
+        c4_correlations_exact(bad)
+    off_mass = spec.mu_x.copy()
+    off_mass[:2] = [0.45, 0.175]
+    bad = TaskSpec("c4", "corm", spec.source, spec.benchmark, 0.0, 0.0, mu_x=off_mass, meta=spec.meta)
+    with pytest.raises(ValueError, match="multiples of 1/8"):
+        c4_correlations_exact(bad)
+
+
+def test_c4_runs_beyond_m4_from_the_integer_table(tmp_path):
+    summary = run_experiment({"seed": 3, "experiments": [{"scenario": "c4", "m": 5}]}, tmp_path)
+    (entry,) = summary["experiments"]
+    assert entry["pairs"] == entry["invariant_ok"] == 1024
+
+
+# every construction step that feeds a TaskSpec, for figure1 m = 1..3, c1 m =
+# 1, 2, 3, 5, c2 m = 1..3, c3 m = 1, 3, 6 (both directions) and c4 m = 1..3
+PIN_CASES = (
+    [("figure1", m, "forward") for m in (1, 2, 3)]
+    + [("c1", m, d) for m in (1, 2, 3, 5) for d in ("forward", "reversed")]
+    + [("c2", m, d) for m in (1, 2, 3) for d in ("forward", "reversed")]
+    + [("c3", m, d) for m in (1, 3, 6) for d in ("forward", "reversed")]
+    + [("c4", m, "forward") for m in (1, 2, 3)]
+)
+
+
+def _feed(h, *parts):
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(f"{part.dtype.str}{part.shape}".encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+        h.update(b"|")
+
+
+def _feed_dist(h, mu):
+    _feed(h, mu.domain.size, mu.label_kind, mu.xs, mu.ys, mu.ps)
+
+
+def test_constructions_are_pinned():
+    """Classes, family atoms, mu_x, baseline, meta and five draw_mu draws, byte for byte."""
+    h = hashlib.sha256()
+    for name, m, direction in PIN_CASES:
+        spec = scenario(name, m, direction, 0.125, 0.25)
+        _feed(h, name, m, direction, spec.name, spec.kind, spec.epsilon, spec.delta)
+        for cls in (spec.source, spec.benchmark):
+            _feed(h, type(cls).__name__, cls.domain.size, cls.matrix)
+        _feed(h, None if spec.loss is None else spec.loss.name)
+        _feed(h, spec.mu_x, spec.mu_generator is None, spec.mu_family is None)
+        for mu in spec.mu_family or ():
+            _feed_dist(h, mu)
+        base = spec.baseline_model
+        _feed(h, type(base).__name__, None if base is None else base.values)
+        _feed(h, json.dumps(spec.meta, sort_keys=True))
+        if spec.mu_family or spec.mu_generator is not None:
+            for k in range(5):
+                rng = rng_stream(2024, k)
+                _feed_dist(h, spec.draw_mu(rng))
+                _feed(h, int(rng.integers(2**62)))  # the draw's rng use
+    assert h.hexdigest() == "9043dfd479618c9e6aae0d116cb7cc8572499502c5222ce1c6c30d98f87c4739"
+
+
 def test_scenario_validation():
     with pytest.raises(ConfigError):
         scenario("nope", 1)
@@ -372,6 +470,29 @@ def test_run_experiment_rejects_bad_config(tmp_path):
         run_experiment({"experiments": []}, out)
     with pytest.raises(ConfigError):
         run_experiment({"seed": 1, "experiments": [{"scenario": "c1", "m": 1, "grid": [-1]}]}, out)
+    c1 = {"scenario": "c1", "m": 1}
+    for cfg in (
+        # a JSON bool is not an integer or a number
+        {"seed": True, "experiments": [{"scenario": "c4", "m": 1}]},
+        {"seed": 1, "experiments": [{"scenario": "c4", "m": True}]},
+        {"seed": 1, "experiments": [{**c1, "epsilon": True}]},
+        {"seed": 1, "experiments": [{**c1, "delta": False}]},
+        {"seed": 1, "experiments": [{**c1, "grid": [True]}]},
+        {"seed": 1, "experiments": [{**c1, "trials": True}]},
+        # epsilon finite and nonnegative, delta in [0, 1)
+        {"seed": 1, "experiments": [{**c1, "epsilon": math.nan}]},
+        {"seed": 1, "experiments": [{**c1, "epsilon": math.inf}]},
+        {"seed": 1, "experiments": [{**c1, "epsilon": -0.1}]},
+        {"seed": 1, "experiments": [{**c1, "delta": math.nan}]},
+        {"seed": 1, "experiments": [{**c1, "delta": 1}]},
+        {"seed": 1, "experiments": [{**c1, "delta": -0.5}]},
+        {"seed": 1, "experiments": [{**c1, "epsilon": "0.1"}]},
+    ):
+        with pytest.raises(ConfigError):
+            run_experiment(cfg, out)
+    assert not out.exists()
+    checked = _validate_config({"seed": 1, "experiments": [{**c1, "epsilon": 2, "delta": 0.999}]})
+    assert checked["experiments"][0]["epsilon"] == 2
 
 
 def test_paper_suite_config_validates():
