@@ -212,6 +212,8 @@ def cmd_online(args) -> None:
         tree = dimensions.MistakeTree(tree_data["depth"], tuple(tree_data["nodes"]))
         match = online._tree_match(learner, tree, classes[0], classes[-1])
         report = online._report(learner, *match, None)
+    if report.n != args.rounds:  # the RWM horizon and bound are set for --rounds
+        raise ConfigError(f"--rounds is {args.rounds} but the {args.adversary} has {report.n} rounds")
     if args.out_report:
         ldim_bound = None
         try:

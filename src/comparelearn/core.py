@@ -76,15 +76,10 @@ class Domain:
     """A finite set of individuals addressed by index 0..size-1."""
 
     size: int
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not isinstance(self.size, int) or self.size < 1:
             raise ValueError(f"domain size must be a positive integer, got {self.size!r}")
-        if self.names is not None:
-            object.__setattr__(self, "names", tuple(self.names))
-            if len(self.names) != self.size:
-                raise ValueError("names length must equal domain size")
 
 
 def _encode_binary(labels, size: int) -> np.ndarray:

@@ -394,10 +394,11 @@ def c4_correlations_exact(spec: TaskSpec) -> list[list[Fraction]]:
 # ---------------------------------------------------------------------------
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion."""
     if trials == 0:
         return 0.0, 1.0
+    z = 1.96
     phat = successes / trials
     denom = 1.0 + z**2 / trials
     center = (phat + z**2 / (2 * trials)) / denom
@@ -426,13 +427,13 @@ class EstimateReport:
     def wilson(self, i: int) -> tuple[float, float]:
         return wilson_interval(self.successes[i], self.trials)
 
-    def monotonicity_violations(self, tol_se: float = 2.0) -> list[tuple[int, int]]:
-        """Grid pairs where the rate drops by more than tol_se standard errors."""
+    def monotonicity_violations(self) -> list[tuple[int, int]]:
+        """Grid pairs where the rate drops by more than two standard errors."""
         out = []
         for i in range(len(self.grid) - 1):
             r0, r1 = self.success_rate(i), self.success_rate(i + 1)
             se = math.sqrt(max(r0 * (1 - r0), r1 * (1 - r1), 1e-12) / max(self.trials, 1))
-            if r1 < r0 - tol_se * se:
+            if r1 < r0 - 2.0 * se:
                 out.append((self.grid[i], self.grid[i + 1]))
         return out
 
@@ -573,10 +574,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _reject_unknown_keys(obj: dict, allowed, where: str) -> None:
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"{where}: unknown key {key!r}; allowed: {', '.join(allowed)}")
+
+
 def _validate_config(cfg: dict) -> dict:
     """The checked config as a new dict, with every default written out."""
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be an object")
+    _reject_unknown_keys(cfg, ("seed", "record_millis", "experiments"), "config")
     if not _is_int(cfg.get("seed")):
         raise ConfigError("config.seed: required integer")
     record_millis = cfg.get("record_millis", False)
@@ -590,6 +598,7 @@ def _validate_config(cfg: dict) -> dict:
         where = f"config.experiments[{i}]"
         if not isinstance(e, dict):
             raise ConfigError(f"{where}: must be an object")
+        _reject_unknown_keys(e, ("scenario", "m", *_ENTRY_DEFAULTS), where)
         e = {**_ENTRY_DEFAULTS, **e}
         entries.append(e)
         name = e.get("scenario")
@@ -597,8 +606,8 @@ def _validate_config(cfg: dict) -> dict:
             raise ConfigError(f"{where}.scenario: unknown scenario {name!r}")
         if not _is_int(e.get("m")) or e["m"] < 1:
             raise ConfigError(f"{where}.m: required positive integer")
-        if name == "c4":
-            continue
+        if name == "c4" and any(e[key] != value for key, value in _ENTRY_DEFAULTS.items()):
+            raise ConfigError(f"{where}: c4 takes only scenario and m; other keys only at their defaults")
         if e["direction"] not in ("forward", "reversed"):
             raise ConfigError(f"{where}.direction: must be forward or reversed")
         try:

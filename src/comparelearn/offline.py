@@ -148,16 +148,16 @@ def _complete(values: np.ndarray) -> np.ndarray:
     return np.where(values == 0, np.int8(1), values).astype(np.int8)
 
 
+def _mistakes(matrix: np.ndarray, data: Dataset) -> np.ndarray:
+    """Each row's mistake count on the data, * counting as wrong."""
+    return (matrix[:, data.xs] != _require_binary_labels(data)).sum(axis=1)
+
+
 def erm_agnostic(H: BinaryClass, data: Dataset) -> BinaryModel:
     """Lowest-index empirical-error minimizer of H, completed with * -> +1."""
     if H.is_empty:
         raise ValueError("ERM requires a nonempty class")
-    if len(data) == 0:
-        return BinaryModel(H.domain, _complete(H.matrix[0]))
-    ys = _require_binary_labels(data)
-    mism = H.matrix[:, data.xs] != ys[None, :]
-    counts = mism.sum(axis=1)
-    best = int(np.argmin(counts))
+    best = int(np.argmin(_mistakes(H.matrix, data)))
     return BinaryModel(H.domain, _complete(H.matrix[best]))
 
 
@@ -165,14 +165,11 @@ def erm_realizable(H: BinaryClass, data: Dataset) -> BinaryModel:
     """Lowest-index member consistent with every point, completed."""
     if H.is_empty:
         raise ValueError("ERM requires a nonempty class")
-    if len(data) == 0:
-        return BinaryModel(H.domain, _complete(H.matrix[0]))
-    ys = _require_binary_labels(data)
-    consistent = (H.matrix[:, data.xs] == ys[None, :]).all(axis=1)
-    idx = np.flatnonzero(consistent)
-    if idx.size == 0:
+    counts = _mistakes(H.matrix, data)
+    best = int(np.argmin(counts))
+    if counts[best]:
         raise NoConsistentHypothesisError("no member is consistent with the data")
-    return BinaryModel(H.domain, _complete(H.matrix[int(idx[0])]))
+    return BinaryModel(H.domain, _complete(H.matrix[best]))
 
 
 def comparative_learn(S: BinaryClass, B: BinaryClass, data: Dataset) -> BinaryModel:
@@ -207,9 +204,10 @@ def agreement_learn(classes: Sequence[BinaryClass], data: Dataset) -> BinaryMode
 # ---------------------------------------------------------------------------
 
 
-def _rejection_sample(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Keep mask with per-point keep probabilities; one uniform per point."""
-    return rng.random(len(probs)) < probs
+def _signed_resample(xs: np.ndarray, ys: np.ndarray, eta: float, rng: np.random.Generator) -> Dataset:
+    """(x, sign(y)) for the points with |y| > eta, each kept w.p. |y|; one uniform per point."""
+    keep = (np.abs(ys) > eta) & (rng.random(len(ys)) < np.abs(ys))
+    return Dataset(xs[keep], sign_arr(ys[keep]).astype(np.float64))
 
 
 def dcorm_binary_benchmark(
@@ -225,12 +223,10 @@ def dcorm_binary_benchmark(
     then runs the comparative learner on (S_eta^0, B).  An empty resample
     returns the fixed constant +1 model.
     """
-    eta = params.eta
-    keep = (np.abs(data.ys) > eta) & _rejection_sample(np.abs(data.ys), rng)
-    if not keep.any():
+    psi = _signed_resample(data.xs, data.ys, params.eta, rng)
+    if len(psi) == 0:
         return BinaryModel.constant(S.domain, 1)
-    psi = Dataset(data.xs[keep], sign_arr(data.ys[keep]).astype(np.float64))
-    return comparative_learn(binarize_class(S, eta, 0.0), B, psi)
+    return comparative_learn(binarize_class(S, params.eta, 0.0), B, psi)
 
 
 def _threshold_models(
@@ -284,8 +280,7 @@ def dcorm_real(
     psi1, psi2 = _split_two(data, params)
     eta1, eta2 = params.eta1, params.eta2
     t = params.resolved_t()
-    keep = (np.abs(psi1.ys) > eta1) & _rejection_sample(np.abs(psi1.ys), rng)
-    psi = Dataset(psi1.xs[keep], sign_arr(psi1.ys[keep]).astype(np.float64))
+    psi = _signed_resample(psi1.xs, psi1.ys, eta1, rng)
     Sbin = binarize_class(S, eta1, 0.0)
     models = _threshold_models(Sbin, B, psi, eta2, t, S.domain)
     candidates = (
@@ -320,9 +315,7 @@ def corm_general(
     Sbin = binarize_class(S, eta1, 0.0)
     candidates: list[BinaryModel] = []
     for yhat in product(Y.tolist(), repeat=n1):
-        yhat = np.asarray(yhat, dtype=np.float64)
-        keep = _rejection_sample(np.abs(yhat), rng)
-        psi = Dataset(psi1.xs[keep], sign_arr(yhat[keep]).astype(np.float64))
+        psi = _signed_resample(psi1.xs, np.asarray(yhat, dtype=np.float64), 0.0, rng)
         candidates.extend(_threshold_models(Sbin, B, psi, eta2, t, S.domain))
     candidates.append(BinaryModel.constant(S.domain, 1))
     candidates.append(BinaryModel.constant(S.domain, -1))
@@ -558,7 +551,7 @@ def boost(
         resid1 = psi1.ys - pi_proj_arr(psi1.ys, f[psi1.xs])
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(psi1.ys == 0.0, 0.0, np.abs(resid1) / np.abs(psi1.ys))
-        keep = _rejection_sample(ratio, rng)
+        keep = rng.random(len(ratio)) < ratio
         n_kept = event["n_kept"] = int(keep.sum())
         if n_kept < n1 * alpha / 2.0:
             return "few_points"
@@ -596,10 +589,10 @@ def boosting_plan(
     eps: float,
     deltas: tuple[float, float, float, float],
     n0: int,
-    C: float = 4.0,
 ) -> LearnerParams:
     """Advisory parameter plan for :func:`boost`; any user sizes are accepted."""
     d1, d2, d3, d4 = deltas
+    C = 4.0
     Wp = int(math.floor(C / (alpha * gamma**2) * math.log2(max(2.0, 1.0 / alpha)))) + 1
     W = Wp + int(math.floor(4.0 / eps**2)) + 1
     n1 = max(int(math.ceil(2.0 * n0 / alpha)), int(math.ceil(C / alpha * math.log(1.0 / d4))))
@@ -613,16 +606,6 @@ def boosting_plan(
 # ---------------------------------------------------------------------------
 # losses, tau, and the omnipredictor
 # ---------------------------------------------------------------------------
-
-_KAPPA_GRID = 1001
-
-
-def _grid_slope(fn) -> tuple[np.ndarray, float]:
-    """Rows fn(-1, q), fn(+1, q) on the kappa grid, and their largest finite-difference slope."""
-    grid = np.linspace(-1.0, 1.0, _KAPPA_GRID)
-    vals = np.array([[fn(y, q) for q in grid] for y in (-1.0, 1.0)])
-    return vals, float((np.abs(np.diff(vals, axis=1)) / (grid[1] - grid[0])).max())
-
 
 @dataclass(frozen=True)
 class LossFunction:
@@ -644,7 +627,9 @@ class LossFunction:
         return float(self.fn(y, q))
 
     def __post_init__(self):
-        vals, slope = _grid_slope(self.fn)
+        grid = np.linspace(-1.0, 1.0, 1001)
+        vals = np.array([[self.fn(y, q) for q in grid] for y in (-1.0, 1.0)])
+        slope = float((np.abs(np.diff(vals, axis=1)) / (grid[1] - grid[0])).max())
         if slope > self.kappa + 1e-9:
             raise ValueError(f"kappa = {self.kappa} is below the observed grid slope {slope}")
         if self.convex:
@@ -652,29 +637,21 @@ class LossFunction:
             if (vals[:, 1:-1] > mid + 1e-9).any():
                 raise ValueError("loss flagged convex fails the grid convexity check")
 
-    @classmethod
-    def from_callable(cls, fn, convex: bool, analytic_tau=None, name="loss"):
-        """Build with kappa measured from the grid, rounded up to 0.1."""
-        kappa = math.ceil(_grid_slope(fn)[1] * 10.0 - 1e-9) / 10.0
-        return cls(fn=fn, kappa=kappa, convex=convex, analytic_tau=analytic_tau, name=name)
-
 
 def squared_loss() -> LossFunction:
-    return LossFunction.from_callable(
-        lambda y, q: (y - q) ** 2, convex=True, analytic_tau=lambda u: u, name="squared"
-    )
+    return LossFunction(lambda y, q: (y - q) ** 2, kappa=4.0, analytic_tau=lambda u: u, name="squared")
 
 
 def absolute_loss() -> LossFunction:
-    return LossFunction.from_callable(
+    return LossFunction(
         lambda y, q: abs(y - q),
-        convex=True,
+        kappa=1.0,
         analytic_tau=lambda u: 1.0 if u >= 0 else -1.0,
         name="absolute",
     )
 
 
-def tau(loss: LossFunction, u: float, tol: float = 1e-9) -> float:
+def tau(loss: LossFunction, u: float) -> float:
     """argmin over q in [-1,1] of E_{y ~ Ber*(u)}[loss(y, q)].
 
     Uses the analytic map when the loss provides one.  The numeric fallback
@@ -693,7 +670,7 @@ def tau(loss: LossFunction, u: float, tol: float = 1e-9) -> float:
         return probs[1] * loss(1.0, q) + probs[-1] * loss(-1.0, q)
 
     lo, hi = -1.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         if g(m1) <= g(m2):
@@ -704,7 +681,7 @@ def tau(loss: LossFunction, u: float, tol: float = 1e-9) -> float:
     gmin = g(qmin)
     # lowest minimizer on ties: g is nonincreasing on [-1, qmin]
     lo, hi = -1.0, qmin
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = (lo + hi) / 2.0
         if g(mid) <= gmin + 1e-12:
             hi = mid
@@ -786,7 +763,6 @@ def plan_dcorm_binary(
     eps: float,
     eta: float,
     delta: float,
-    C: float = 8.0,
 ) -> PlannedSamples:
     """Advisory n for the binary-benchmark correlation maximizer.
 
@@ -796,7 +772,7 @@ def plan_dcorm_binary(
     """
     A = agreement_class(binarize_class(S, eta, 0.0), B)
     n_comp = erm_sample_bound(len(A), eps / 4.0, delta / 2.0)
-    n_tail = int(math.ceil(C / eps * math.log(1.0 / delta)))
+    n_tail = int(math.ceil(8.0 / eps * math.log(1.0 / delta)))
     return PlannedSamples(
         n=max(n_comp, n_tail),
         note="advisory: log|A| ERM surrogate for the comparative-learning term",

@@ -15,6 +15,8 @@ import numpy as np
 
 from .core import BinaryClass, agreement_class
 from .dimensions import LdimGame, MistakeTree, tree_shattered_by
+from .offline import _mistakes
+from .stat_model import Dataset
 
 
 @dataclass(frozen=True)
@@ -86,18 +88,14 @@ class RWMLearner:
     horizon-aware sqrt(8 ln|H| / n), fixed per run.
     """
 
-    def __init__(self, H: BinaryClass, horizon: int, learning_rate: float | None = None):
+    def __init__(self, H: BinaryClass, horizon: int):
         if H.is_empty:
             raise ValueError("RWM requires a nonempty class")
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         self.H = H
         self.horizon = int(horizon)
-        self.lr = (
-            learning_rate
-            if learning_rate is not None
-            else math.sqrt(8.0 * math.log(len(H)) / horizon)
-        )
+        self.lr = math.sqrt(8.0 * math.log(len(H)) / horizon)
         self.weights = np.ones(len(H))
 
     @property
@@ -153,9 +151,8 @@ def _report(learner, pairs, rows, expected, benchmarks: BinaryClass | None) -> R
     learner_rate = expected / n
     benchmark_rate = regret = None
     if benchmarks is not None and not benchmarks.is_empty:
-        xs, ys = np.array(pairs).T
-        mism = (benchmarks.matrix[:, xs] != ys).sum(axis=1)
-        benchmark_rate = float(mism.min()) / n
+        mistakes = _mistakes(benchmarks.matrix, Dataset(*np.array(pairs).T))
+        benchmark_rate = float(mistakes.min()) / n
         regret = learner_rate - benchmark_rate
     return RegretReport(
         n=n,
@@ -228,8 +225,6 @@ def realizable_witness(H: BinaryClass, seq: LabeledSequence) -> int | None:
     """Index of a member consistent with the whole sequence, if any."""
     if H.is_empty or len(seq) == 0:
         return None
-    xs = np.array([x for x, _ in seq])
-    ys = np.array([y for _, y in seq], dtype=np.int8)
-    ok = (H.matrix[:, xs] == ys[None, :]).all(axis=1)
-    idx = np.flatnonzero(ok)
-    return int(idx[0]) if idx.size else None
+    mistakes = _mistakes(H.matrix, Dataset(*np.array(seq.pairs).T))
+    best = int(np.argmin(mistakes))
+    return None if mistakes[best] else best

@@ -378,16 +378,13 @@ def regression_loss(f, loss, dist: DiscreteDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
-def save_dataset(data: Dataset, path: str, sidecar: dict | None = None) -> None:
+def save_dataset(data: Dataset, path: str) -> None:
     with open(path, "w") as fh:
         fh.write("x_index,y\n")
         for x, y in zip(data.xs, data.ys):
             fh.write(f"{int(x)},{float(y)!r}\n")
-    meta = dict(data.meta or {})
-    if sidecar:
-        meta.update(sidecar)
     with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump(data.meta or {}, fh, indent=2)
         fh.write("\n")
 
 

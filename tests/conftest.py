@@ -65,6 +65,17 @@ def random_real_distribution(rng, n_points, n_atoms=None, grid=None):
     return DiscreteDistribution(Domain(n_points), list(zip(xs, ys, ps)), "real")
 
 
+def feed(h, *parts):
+    """Update hash ``h`` with each part: an array's dtype, shape and bytes, else its repr."""
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(f"{part.dtype.str}{part.shape}".encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+        h.update(b"|")
+
+
 @pytest.fixture
 def rng():
     return rng_stream(20240815)

@@ -169,7 +169,7 @@ def test_learn_comp_and_model_provenance(capsys, tmp_path, class_files):
     xs = rng.choice(defined, size=20)
     ys = S.matrix[si, xs].astype(np.float64)
     datap = tmp_path / "data.csv"
-    save_dataset(Dataset(xs, ys), datap, sidecar={"seed": 97, "label_kind": "binary"})
+    save_dataset(Dataset(xs, ys, {"seed": 97, "label_kind": "binary"}), datap)
     outp = tmp_path / "model.json"
     code = main(
         [
@@ -253,6 +253,24 @@ def test_online_replay_bad_rows_exit_2(tmp_path, capsys, rows, message):
     assert not rp.exists()
 
 
+def test_online_replay_rounds_mismatch_exit_2(tmp_path, capsys):
+    # an RWM bound for 100000 rounds on a 3-row replay would be silently wrong
+    hp, datap, rp = tmp_path / "H.json", tmp_path / "seq.csv", tmp_path / "report.json"
+    rounds_csv = tmp_path / "rounds.csv"
+    write_json(hp, class_to_json(BinaryClass(Domain(3), [[1, -1, 1], [-1, -1, 1]])))
+    datap.write_text("x_index,y\n0,1\n1,-1\n2,1\n")
+    code = main(
+        [
+            "online", "--learner", "rwm", "--hypothesis-class", str(hp),
+            "--adversary", "replay", "--replay", str(datap), "--rounds", "100000",
+            "--out-report", str(rp), "--out-rounds", str(rounds_csv),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: --rounds is 100000 but the replay has 3 rounds\n"
+    assert not rp.exists() and not rounds_csv.exists()
+
+
 def test_eval_nan_distribution_exit_2(capsys, tmp_path):
     mp = tmp_path / "f.json"
     write_json(mp, {"domain": {"size": 2}, "kind": "real", "values": [0.5, -0.5]})
@@ -313,6 +331,25 @@ def test_online_depth_zero_tree_exit_2(tmp_path, capsys, learner):
     )
     assert code == 2
     assert capsys.readouterr().err == "error: sequence must be nonempty\n"
+    assert not rp.exists()
+
+
+def test_online_tree_rounds_mismatch_exit_2(tmp_path, capsys):
+    from itertools import product as iproduct
+
+    H = BinaryClass(Domain(2), np.array(list(iproduct((-1, 1), repeat=2)), dtype=np.int8))
+    hp, tp, rp = tmp_path / "H.json", tmp_path / "tree.json", tmp_path / "report.json"
+    write_json(hp, class_to_json(H))
+    write_json(tp, {"depth": 2, "nodes": [0, 1, 1]})
+    code = main(
+        [
+            "online", "--learner", "soa", "--hypothesis-class", str(hp),
+            "--adversary", "tree", "--tree", str(tp), "--rounds", "5",
+            "--out-report", str(rp),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: --rounds is 5 but the tree has 2 rounds\n"
     assert not rp.exists()
 
 

@@ -134,8 +134,6 @@ def test_discretize_properties(eta):
 def test_domain_validation():
     with pytest.raises(ValueError):
         Domain(0)
-    with pytest.raises(ValueError):
-        Domain(2, names=("a",))
 
 
 def test_binary_hypothesis_labels():

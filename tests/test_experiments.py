@@ -44,6 +44,7 @@ from comparelearn.experiments import (
     c4_correlations_exact,
     default_learner_factory,
 )
+from conftest import feed
 
 
 # --- scenario constructions ----------------------------------------------------
@@ -167,18 +168,8 @@ PIN_CASES = (
 )
 
 
-def _feed(h, *parts):
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            h.update(f"{part.dtype.str}{part.shape}".encode())
-            h.update(np.ascontiguousarray(part).tobytes())
-        else:
-            h.update(repr(part).encode())
-        h.update(b"|")
-
-
 def _feed_dist(h, mu):
-    _feed(h, mu.domain.size, mu.label_kind, mu.xs, mu.ys, mu.ps)
+    feed(h, mu.domain.size, mu.label_kind, mu.xs, mu.ys, mu.ps)
 
 
 def test_constructions_are_pinned():
@@ -186,21 +177,21 @@ def test_constructions_are_pinned():
     h = hashlib.sha256()
     for name, m, direction in PIN_CASES:
         spec = scenario(name, m, direction, 0.125, 0.25)
-        _feed(h, name, m, direction, spec.name, spec.kind, spec.epsilon, spec.delta)
+        feed(h, name, m, direction, spec.name, spec.kind, spec.epsilon, spec.delta)
         for cls in (spec.source, spec.benchmark):
-            _feed(h, type(cls).__name__, cls.domain.size, cls.matrix)
-        _feed(h, None if spec.loss is None else spec.loss.name)
-        _feed(h, spec.mu_x, spec.mu_generator is None, spec.mu_family is None)
+            feed(h, type(cls).__name__, cls.domain.size, cls.matrix)
+        feed(h, None if spec.loss is None else spec.loss.name)
+        feed(h, spec.mu_x, spec.mu_generator is None, spec.mu_family is None)
         for mu in spec.mu_family or ():
             _feed_dist(h, mu)
         base = spec.baseline_model
-        _feed(h, type(base).__name__, None if base is None else base.values)
-        _feed(h, json.dumps(spec.meta, sort_keys=True))
+        feed(h, type(base).__name__, None if base is None else base.values)
+        feed(h, json.dumps(spec.meta, sort_keys=True))
         if spec.mu_family or spec.mu_generator is not None:
             for k in range(5):
                 rng = rng_stream(2024, k)
                 _feed_dist(h, spec.draw_mu(rng))
-                _feed(h, int(rng.integers(2**62)))  # the draw's rng use
+                feed(h, int(rng.integers(2**62)))  # the draw's rng use
     assert h.hexdigest() == "9043dfd479618c9e6aae0d116cb7cc8572499502c5222ce1c6c30d98f87c4739"
 
 
@@ -399,7 +390,7 @@ def test_estimate_monotone_in_n_for_erm():
     report = estimate_sample_complexity(
         spec, default_learner_factory, [0, 2, 4, 8, 16, 32], trials=60, seed=11
     )
-    assert report.monotonicity_violations(tol_se=2.0) == []
+    assert report.monotonicity_violations() == []
     assert report.n_star is not None and report.n_star >= 1
 
 
@@ -487,6 +478,11 @@ def test_run_experiment_rejects_bad_config(tmp_path):
         {"seed": 1, "experiments": [{**c1, "delta": 1}]},
         {"seed": 1, "experiments": [{**c1, "delta": -0.5}]},
         {"seed": 1, "experiments": [{**c1, "epsilon": "0.1"}]},
+        # a c4 entry reads only scenario and m; every other key is checked or refused
+        {"seed": 1, "experiments": [{"scenario": "c4", "m": 1, "epsilon": True, "grid": "x", "mode": "bogus"}]},
+        {"seed": 1, "experiments": [{"scenario": "c4", "m": 1, "trials": 5}]},
+        {"seed": 1, "experiments": [{**c1, "trails": 500}]},
+        {"seed": 1, "experiments": [c1], "records_millis": True},
     ):
         with pytest.raises(ConfigError):
             run_experiment(cfg, out)

@@ -447,7 +447,8 @@ def test_dataset_roundtrip(tmp_path):
     dist = random_binary_distribution(rng, 4, 6)
     data = dist.sample(50, rng)
     path = tmp_path / "data.csv"
-    save_dataset(data, path, sidecar={"seed": 47, "distribution_sha256": dist.sha256(), "label_kind": dist.label_kind})
+    meta = {"seed": 47, "distribution_sha256": dist.sha256(), "label_kind": dist.label_kind}
+    save_dataset(Dataset(data.xs, data.ys, meta), path)
     back = load_dataset(path)
     assert np.array_equal(back.xs, data.xs)
     assert np.array_equal(back.ys, data.ys)
