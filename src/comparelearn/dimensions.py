@@ -44,8 +44,10 @@ from .core import (
     GVConstructionError,
     RealClass,
     _binarize_matrix,
+    _star,
     binarize_class,
 )
+from .stat_model import _check_mu_x, rng_stream
 
 SUBSET_GUARD = 30
 LDIM_CLASS_GUARD = 4096
@@ -245,7 +247,7 @@ def _fat_columns(H: RealClass, eta: float) -> list[list[tuple]]:
     """Per point, the deduplicated binarized columns (r, plus, minus) with both signs."""
     out = []
     for col in H.matrix.T:
-        refs = reference_candidates(col[~np.isnan(col)], eta)
+        refs = reference_candidates(col[~_star(col)], eta)
         binz = _binarize_matrix(np.repeat(col[:, None], len(refs), axis=1), eta, np.array(refs))
         cols, seen = [], set()
         for r, p, m in zip(refs, *_sign_masks(binz)):
@@ -313,7 +315,7 @@ def mutual_fat(S: RealClass, B: RealClass, eta: float) -> DimensionResult:
 
 def theta_candidates(B: RealClass, eta: float) -> list[float]:
     """Exact candidate set for a constant reference theta, pooled over points."""
-    vals = B.matrix[~np.isnan(B.matrix)]
+    vals = B.matrix[~_star(B.matrix)]
     return reference_candidates(vals, eta) if vals.size else [0.0]
 
 
@@ -453,18 +455,9 @@ def tree_shattered_by(H: BinaryClass, tree: MistakeTree) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_mu_x(mu_x, size: int) -> np.ndarray:
-    arr = np.asarray(mu_x, dtype=np.float64)
-    if arr.shape != (size,):
-        raise ValueError("mu_x must be an array over the domain")
-    if (arr < 0).any() or abs(arr.sum() - 1.0) > 1e-12:
-        raise ValueError("mu_x must be a probability vector")
-    return arr
-
-
 def dual_distances(S: RealClass, B: RealClass, mu_x) -> np.ndarray:
     """Pairwise distances sup_b |E_mu[(s_i - s_j) b]| for total classes."""
-    if np.isnan(S.matrix).any() or np.isnan(B.matrix).any():
+    if _star(S.matrix).any() or _star(B.matrix).any():
         raise ValueError("packing/covering requires total classes (no *)")
     mu = _check_mu_x(mu_x, S.domain.size)
     P = (S.matrix * mu[None, :]) @ B.matrix.T  # (mS, mB) of E[s_i b]
@@ -580,8 +573,6 @@ def gv_packing(
     if N < 2:
         models = [BinaryModel.constant(domain, 1), BinaryModel.constant(domain, -1)]
     else:
-        from .stat_model import rng_stream
-
         threshold = 2.0 * eps * n  # dist >= 1/2 - eps  <=>  inner product <= 2 eps n
         for attempt in range(max_retries):
             rng = rng_stream(seed, 7901, attempt)

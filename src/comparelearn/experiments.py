@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import pathlib
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,6 +37,7 @@ from .core import (
     RealModel,
     _json_float,
     _real_view,
+    _star,
 )
 from .offline import (
     LossFunction,
@@ -120,7 +122,7 @@ def goal_satisfied(spec: TaskSpec, model, mu: DiscreteDistribution) -> bool:
         return bool(corr[0] >= corr[1:].max() - spec.epsilon - GOAL_ATOL)
     if spec.kind == "compr":
         rows = _support_rows(_total_values(model), bench, mu.xs, real=True)
-        if np.isnan(rows[1:]).any():
+        if _star(rows[1:]).any():
             raise ValueError("compr benchmark members must be defined on the support (no *)")
         loss = _loss_rows(spec.loss, rows, mu)
         return bool(loss[0] <= loss[1:].min() + spec.epsilon + GOAL_ATOL)
@@ -424,9 +426,6 @@ class EstimateReport:
     def success_rate(self, i: int) -> float:
         return self.successes[i] / self.trials if self.trials else 0.0
 
-    def wilson(self, i: int) -> tuple[float, float]:
-        return wilson_interval(self.successes[i], self.trials)
-
     def monotonicity_violations(self) -> list[tuple[int, int]]:
         """Grid pairs where the rate drops by more than two standard errors."""
         out = []
@@ -636,12 +635,8 @@ def _validate_config(cfg: dict) -> dict:
 
 def toolkit_version_hash() -> str:
     """Short content hash of the package sources, for replay provenance."""
-    import importlib
-    import pathlib
-
-    pkg_dir = pathlib.Path(importlib.import_module(__package__).__file__).parent
     digest = hashlib.sha256()
-    for path in sorted(pkg_dir.glob("*.py")):
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
@@ -655,15 +650,21 @@ def run_experiment(config: dict, out_dir) -> dict:
     (it defaults to 0 so that replays are byte-identical) and always appears
     in the JSON summary.
     """
-    import pathlib
-
     cfg = _validate_config(config)
-    out = pathlib.Path(out_dir)
     seed = cfg["seed"]
-    record_millis = cfg["record_millis"]
-    rows = []
+    csv_lines = [CSV_HEADER]
     curves: dict[str, list[str]] = {}
     summary_entries = []
+
+    def grid_point(name, direction, m, n, trials, successes, row_seed, ms) -> str:
+        """Append the point's results.csv row and return its curve line."""
+        lo, hi = wilson_interval(successes, trials)
+        millis = ms if cfg["record_millis"] else 0
+        csv_lines.append(
+            f"{name},{direction},{m},{n},{trials},{successes},{lo:.6f},{hi:.6f},{row_seed},{millis}"
+        )
+        return f"{n} {successes} {trials} {lo:.6f} {hi:.6f}"
+
     for ei, e in enumerate(cfg["experiments"]):
         name = e["scenario"]
         m = e["m"]
@@ -673,9 +674,7 @@ def run_experiment(config: dict, out_dir) -> dict:
             table, _ = _c4_numerators(spec)
             ok = int((table == table[:, :1]).all(axis=1).sum())  # rows constant across sources
             ms = int((time.perf_counter() - t0) * 1000)
-            rows.append(
-                (name, "forward", m, 0, len(table), ok, *wilson_interval(ok, len(table)), seed, ms if record_millis else 0)
-            )
+            grid_point(name, "forward", m, 0, len(table), ok, seed, ms)
             summary_entries.append(
                 {"scenario": name, "m": m, "pairs": len(table), "invariant_ok": ok, "wall_ms": ms}
             )
@@ -690,27 +689,10 @@ def run_experiment(config: dict, out_dir) -> dict:
             seed + ei,
             adversarial=e["mode"] == "adversarial",
         )
-        curve_lines = []
-        for i, n in enumerate(report.grid):
-            lo, hi = report.wilson(i)
-            rows.append(
-                (
-                    name,
-                    direction,
-                    m,
-                    n,
-                    report.trials,
-                    report.successes[i],
-                    lo,
-                    hi,
-                    seed + ei,
-                    report.wall_ms if record_millis else 0,
-                )
-            )
-            curve_lines.append(
-                f"{n} {report.successes[i]} {report.trials} {lo:.6f} {hi:.6f}"
-            )
-        curves[f"{name}_{direction}_m{m}"] = curve_lines
+        curves[f"{name}_{direction}_m{m}"] = [
+            grid_point(name, direction, m, n, report.trials, k, seed + ei, report.wall_ms)
+            for n, k in zip(report.grid, report.successes)
+        ]
         summary_entries.append(
             {
                 "scenario": name,
@@ -723,12 +705,8 @@ def run_experiment(config: dict, out_dir) -> dict:
             }
         )
     # all computation done; write outputs only now so failures leave no files
+    out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_lines = [CSV_HEADER]
-    for r in rows:
-        csv_lines.append(
-            f"{r[0]},{r[1]},{r[2]},{r[3]},{r[4]},{r[5]},{r[6]:.6f},{r[7]:.6f},{r[8]},{r[9]}"
-        )
     (out / "results.csv").write_text("\n".join(csv_lines) + "\n")
     summary = {
         "seed": seed,

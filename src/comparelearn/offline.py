@@ -34,6 +34,7 @@ from .core import (
     _binarize_matrix,
     _is_binary,
     _real_view,
+    _star,
     agreement_class,
     binarize_class,
     chi_arr,
@@ -49,7 +50,7 @@ from .core import (
 from .stat_model import Dataset, _level_sums, ber_star
 
 MAMC_K_GUARD = 20
-DEFAULT_ENUM_CAP = 10**6
+ENUM_CAP = 10**6
 
 
 def max_threshold_index(eta2: float) -> int:
@@ -68,30 +69,22 @@ def max_threshold_index(eta2: float) -> int:
 class LearnerParams:
     """Knobs shared by the batch learners; unused fields are ignored.
 
-    ``t`` is auto-set to the largest integer with (2t+1) * eta2 < 1 when left
-    None.  Split sizes must sum to the data length at the call site.
+    Split sizes must sum to the data length at the call site.
     """
 
     epsilon: float = 0.0
-    delta: float = 0.0
     alpha: float = 0.0
     gamma: float = 0.0
-    beta: float = 0.0
     eta: float = 0.0
     eta1: float = 0.0
     eta2: float = 0.0
     k: int = 1
     W: int = 0
     W_prime: int = 0
-    t: int | None = None
     n1: int | None = None
     n2: int | None = None
     n3: int | None = None
     n0: int | None = None
-    enum_cap: int = DEFAULT_ENUM_CAP
-
-    def resolved_t(self) -> int:
-        return self.t if self.t is not None else max_threshold_index(self.eta2)
 
 
 @dataclass
@@ -145,7 +138,7 @@ def _require_binary_labels(data: Dataset) -> np.ndarray:
 
 def _complete(values: np.ndarray) -> np.ndarray:
     """STAR -> +1 completion; never increases error since * always counts wrong."""
-    return np.where(values == 0, np.int8(1), values).astype(np.int8)
+    return np.where(_star(values), np.int8(1), values).astype(np.int8)
 
 
 def _mistakes(matrix: np.ndarray, data: Dataset) -> np.ndarray:
@@ -279,7 +272,7 @@ def dcorm_real(
     """
     psi1, psi2 = _split_two(data, params)
     eta1, eta2 = params.eta1, params.eta2
-    t = params.resolved_t()
+    t = max_threshold_index(eta2)
     psi = _signed_resample(psi1.xs, psi1.ys, eta1, rng)
     Sbin = binarize_class(S, eta1, 0.0)
     models = _threshold_models(Sbin, B, psi, eta2, t, S.domain)
@@ -306,12 +299,12 @@ def corm_general(
     """
     psi1, psi2 = _split_two(data, params)
     eta1, eta2 = params.eta1, params.eta2
-    t = params.resolved_t()
+    t = max_threshold_index(eta2)
     Y = discretize_labels(eta1)
     n1 = len(psi1)
     count = len(Y) ** n1
-    if count > params.enum_cap:
-        raise EnumerationCapError(count, params.enum_cap)
+    if count > ENUM_CAP:
+        raise EnumerationCapError(count, ENUM_CAP)
     Sbin = binarize_class(S, eta1, 0.0)
     candidates: list[BinaryModel] = []
     for yhat in product(Y.tolist(), repeat=n1):
@@ -352,8 +345,8 @@ def exact_weak_oracle(
         vals = cands[:, data.xs]
         scores = gen_product_arr(data.ys, _real_view(vals)).sum(axis=1)
         row = cands[int(np.argmax(scores))]
-        fill = 1 if data.ys[row[data.xs] == 0].sum() >= 0 else -1
-        return BinaryModel(B.domain, np.where(row == 0, fill, row))
+        fill = 1 if data.ys[_star(row[data.xs])].sum() >= 0 else -1
+        return BinaryModel(B.domain, np.where(_star(row), fill, row))
 
     return WeakOracle(fn, alpha=alpha, gamma=gamma, delta1=delta1, n0=n0)
 
@@ -444,9 +437,11 @@ def _sigma_round(S, B, partition, gamma, oracle, rng):
     over the partition cells (S shifted and scaled by f, B masked by the sign
     vector); the first answer with the largest holdout residual correlation
     on psi2 is taken, and f steps gamma/2 along it if that correlation is
-    >= 3 gamma / 4.  Raises GuardError past the 2^k sweep guard, before any
-    oracle call.
+    >= 3 gamma / 4.  Raises ValueError unless gamma > 0, and GuardError past
+    the 2^k sweep guard, before any oracle call.
     """
+    if not gamma > 0:
+        raise ValueError("gamma must be > 0")
     if partition.k > MAMC_K_GUARD:
         raise GuardError(f"k = {partition.k} exceeds the 2^k sigma sweep guard {MAMC_K_GUARD}")
     sigmas = _all_sigmas(partition.k)
@@ -535,6 +530,8 @@ def boost(
     """
     alpha, gamma, eps = params.alpha, params.gamma, params.epsilon
     W, Wp = params.W, params.W_prime
+    if not eps > 0:
+        raise ValueError("epsilon must be > 0")
     if W <= Wp + 4.0 / eps**2:
         raise ValueError("W must exceed W_prime + 4 / eps^2")
     n1, n2, n3 = params.n1, params.n2, params.n3
@@ -713,6 +710,8 @@ def omni_learn(
     gamma, eps = params.gamma, params.epsilon
     W, Wp = params.W, params.W_prime
     oracle_step = _sigma_round(S, B, partition, gamma, oracle, rng)
+    if not eps > 0:
+        raise ValueError("epsilon must be > 0")
     if Wp <= 4.0 / gamma**2:
         raise ValueError("W_prime must exceed 4 / gamma^2")
     if W <= Wp + 4.0 / eps**2:

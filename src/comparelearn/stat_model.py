@@ -30,6 +30,7 @@ from .core import (
     _domain_from_json,
     _json_float,
     _real_view,
+    _star,
     as_real_class,
     gen_product_arr,
     sign_arr,
@@ -122,9 +123,9 @@ class DiscreteDistribution:
         np.add.at(out, self.xs, self.ps)
         return out
 
-    def sample(self, n: int, rng: np.random.Generator, meta: dict | None = None) -> Dataset:
+    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
         idx = rng.choice(self.xs.shape[0], size=int(n), p=self.ps)
-        return Dataset(self.xs[idx], self.ys[idx], meta)
+        return Dataset(self.xs[idx], self.ys[idx])
 
     def to_json(self) -> dict:
         return {
@@ -194,18 +195,24 @@ class SourceModel:
         return _real_view(self.hypothesis.values)
 
 
+def _check_mu_x(mu_x, size: int) -> np.ndarray:
+    """``mu_x`` as a float64 probability vector over a domain of ``size`` points."""
+    mu = np.asarray(mu_x, dtype=np.float64)
+    if mu.shape != (size,):
+        raise ValueError("mu_x must be an array over the domain")
+    if (mu < 0).any() or abs(mu.sum() - 1.0) > MASS_TOL:
+        raise ValueError("mu_x must be a probability vector")
+    return mu
+
+
 def make_distribution(mu_x, source: SourceModel) -> DiscreteDistribution:
     """Exact joint law of (x, y) with x ~ mu_x and y from the source law."""
     hyp = source.hypothesis
     domain = hyp.domain
-    mu = np.asarray(mu_x, dtype=np.float64)
-    if mu.shape != (domain.size,):
-        raise ValueError("mu_x must be an array over the domain")
-    if (mu < 0).any() or abs(mu.sum() - 1.0) > MASS_TOL:
-        raise ValueError("mu_x must be a probability vector")
+    mu = _check_mu_x(mu_x, domain.size)
     svals = source.real_values()
     support_x = np.flatnonzero(mu > 0)
-    if np.isnan(svals[support_x]).any():
+    if _star(svals[support_x]).any():
         raise ValueError("source hypothesis must be defined on the support (no *)")
     atoms = []
     for x in support_x.tolist():
@@ -250,7 +257,7 @@ def _real_values(h) -> np.ndarray:
 def _total_values(f) -> np.ndarray:
     """The real values of ``f``, which must be a total model (no *)."""
     vals = _real_values(f)
-    if np.isnan(vals).any():
+    if _star(vals).any():
         raise ValueError(f"expected a total model, got * values in {type(f).__name__}")
     return vals
 
@@ -304,7 +311,7 @@ def _residual_star_terms(f, B, dist):
         raise ValueError("benchmark class must be nonempty")
     res = fx - dist.ys  # (N,)
     bx = as_real_class(B).matrix[:, dist.xs]  # (mB, N)
-    star = np.isnan(bx)
+    star = _star(bx)
     defined_contrib = dist.ps * res * np.where(star, 0.0, bx)
     star_contrib = dist.ps * np.abs(res) * star
     return defined_contrib, star_contrib, fx

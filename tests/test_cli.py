@@ -204,6 +204,24 @@ def test_learn_dcorm(tmp_path, class_files):
     assert code == 0
 
 
+@pytest.mark.parametrize("params", [None, {}])
+@pytest.mark.parametrize("task", ["mamc", "boost", "omni"])
+def test_learn_default_gamma_or_epsilon_exit_2(tmp_path, capsys, class_files, task, params):
+    """gamma and epsilon default to 0; the learners refuse them before any 4 / x^2 budget check."""
+    sp, bp, S, B = class_files
+    datap = tmp_path / "data.csv"
+    save_dataset(Dataset([0, 1], [1.0, -1.0]), datap)
+    outp = tmp_path / "model.json"
+    argv = ["learn", "--task", task, "--source", str(sp), "--benchmark", str(bp),
+            "--data", str(datap), "--out", str(outp)]
+    if params is not None:
+        write_json(tmp_path / "params.json", params)
+        argv += ["--params", str(tmp_path / "params.json")]
+    assert main(argv) == 2
+    assert "must be > 0" in capsys.readouterr().err
+    assert not outp.exists()
+
+
 def test_online_replay_outputs(tmp_path, class_files):
     sp, bp, S, B = class_files
     rng = rng_stream(97, 6)

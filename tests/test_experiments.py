@@ -523,9 +523,20 @@ def test_paper_suite_summary_matches_acceptance_claims(tmp_path):
     assert None not in stars and stars == sorted(set(stars))
     c4 = [e for e in rows if e["scenario"] == "c4"]
     assert c4 and all(e["invariant_ok"] == e["pairs"] for e in c4)
-    # the bundled suite's replay is byte-identical (value on numpy 2.4.6)
+    # the bundled suite's replay is byte-identical (values on numpy 2.4.6)
     digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
     assert digest == "744da5599661be5a06bd0b056102bc045df57971c1b792e98447777ef8e8db31"
+    curves = hashlib.sha256()
+    for path in sorted((tmp_path / "curves").glob("*.dat")):
+        feed(curves, path.name, path.read_bytes())
+    assert curves.hexdigest() == "aa28c0b12efe0fedf2954871f44d1cf784ac2e97d8a5a93f17846cad17d9a3b9"
+    # the summary without its timings and its source hash
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary["toolkit_hash"] = ""
+    for e in summary["experiments"]:
+        del e["wall_ms"]
+    digest = hashlib.sha256(json.dumps(summary, indent=2).encode()).hexdigest()
+    assert digest == "7d29b65fec33e63db91b5bbe682ce4844a4c55e09ff15595b351580a062a80c4"
 
 
 def test_omitted_defaults_replay_like_written_defaults(tmp_path):

@@ -395,7 +395,7 @@ def test_corm_general_cap():
     d = Domain(4)
     S = RealClass(d, [[0.5] * 4])
     B = RealClass(d, [[1.0] * 4])
-    params = LearnerParams(eta1=0.1, eta2=0.3, n1=20, n2=2, enum_cap=1000)
+    params = LearnerParams(eta1=0.1, eta2=0.3, n1=20, n2=2)
     data = Dataset(np.zeros(22, np.int64), np.zeros(22))
     with pytest.raises(EnumerationCapError) as exc:
         corm_general(S, B, data, params, rng_stream(61, 18))
