@@ -19,6 +19,11 @@ from .offline import _mistakes
 from .stat_model import Dataset
 
 
+def _check_label(y) -> None:
+    if isinstance(y, bool) or y not in (-1, 1):
+        raise ValueError(f"labels must be -1 or +1, got {y!r}")
+
+
 @dataclass(frozen=True)
 class LabeledSequence:
     """An ordered list of (x, y) pairs with y in {-1, +1}."""
@@ -29,8 +34,7 @@ class LabeledSequence:
     def __post_init__(self):
         pairs = tuple(self.pairs)
         for _, y in pairs:
-            if isinstance(y, bool) or y not in (-1, 1):  # checked before int() truncates
-                raise ValueError(f"labels must be -1 or +1, got {y!r}")
+            _check_label(y)  # before int() truncates
         object.__setattr__(self, "pairs", tuple((int(x), int(y)) for x, y in pairs))
 
     def __len__(self):
@@ -74,6 +78,7 @@ class SOALearner:
         return 1.0 if self._oracle.value(vp) >= self._oracle.value(vm) else 0.0
 
     def update(self, x: int, y: int) -> None:
+        _check_label(y)
         mask = self._oracle.plus[x] if y == 1 else self._oracle.minus[x]
         self.version &= mask
 
@@ -86,35 +91,54 @@ class RWMLearner:
     members voting * contribute to neither label, and if all mass is on *
     the prediction is +1 with probability 1/2.  The learning rate is the
     horizon-aware sqrt(8 ln|H| / n), fixed per run.
+
+    The first visit to a point sorts the members stably by their vote there,
+    so the -1 voters, the * voters and the +1 voters each form one run in
+    index order.  A round is then two index gathers over the +1 and -1 runs
+    (the sums add the same weights in the same order as boolean masks would)
+    and one scatter that scales the losers of the label by exp(-lr); winners
+    would be scaled by exp(0) = 1, so the reports are those of a full pass
+    over the class.
     """
 
     def __init__(self, H: BinaryClass, horizon: int):
         if H.is_empty:
             raise ValueError("RWM requires a nonempty class")
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
+            raise ValueError(f"horizon must be an int >= 1, got {horizon!r}")
         self.H = H
-        self.horizon = int(horizon)
+        self.horizon = horizon
         self.lr = math.sqrt(8.0 * math.log(len(H)) / horizon)
         self.weights = np.ones(len(H))
+        self._decay = np.exp(-self.lr)
+        self._votes_at: dict = {}
 
     @property
     def regret_bound(self) -> float:
         """sqrt(ln|H| / (2n)): the guaranteed expected regret rate."""
         return math.sqrt(math.log(len(self.H)) / (2.0 * self.horizon))
 
+    def _votes(self, x: int) -> tuple[np.ndarray, int, int]:
+        """Member indices sorted stably by their vote at x (-1, *, +1) and where the * and +1 runs start."""
+        votes = self._votes_at.get(x)
+        if votes is None:
+            col = self.H.matrix[:, x]
+            order = np.argsort(col, kind="stable")
+            votes = self._votes_at[x] = (order, *col[order].searchsorted((0, 1)))
+        return votes
+
     def predict(self, x: int) -> float:
-        col = self.H.matrix[:, x]
-        wp = float(self.weights[col == 1].sum())
-        wm = float(self.weights[col == -1].sum())
+        order, star, plus = self._votes(x)
+        wp = float(self.weights[order[plus:]].sum())
+        wm = float(self.weights[order[:star]].sum())
         if wp + wm <= 0.0:
             return 0.5
         return wp / (wp + wm)
 
     def update(self, x: int, y: int) -> None:
-        col = self.H.matrix[:, x]
-        losses = (col != y).astype(np.float64)  # * (0) always loses
-        self.weights = self.weights * np.exp(-self.lr * losses)
+        _check_label(y)
+        order, star, plus = self._votes(x)
+        self.weights[order[:plus] if y == 1 else order[star:]] *= self._decay  # * always loses
 
 
 def comp_online(S: BinaryClass, B: BinaryClass, horizon: int) -> RWMLearner:

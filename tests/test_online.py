@@ -202,6 +202,44 @@ def test_rwm_regret_can_be_negative():
     assert report2.benchmark_rate == 0.5
 
 
+def test_rwm_matches_a_full_pass_over_the_class_bit_for_bit():
+    # the reference masks the whole column each round and scales every member by exp(-lr * loss)
+    rng = rng_stream(83, 13)
+    H = random_binary_class(rng, 9, 2500, star_prob=0.2)
+    n = 400
+    learner, weights = RWMLearner(H, horizon=n), np.ones(len(H))
+    for x, y in zip(rng.integers(0, 9, size=n).tolist(), rng.choice([-1, 1], size=n).tolist()):
+        col = H.matrix[:, x]
+        wp, wm = float(weights[col == 1].sum()), float(weights[col == -1].sum())
+        assert learner.predict(x) == (wp / (wp + wm) if wp + wm > 0.0 else 0.5)
+        learner.update(x, y)
+        weights = weights * np.exp(-learner.lr * (col != y).astype(np.float64))
+        assert np.array_equal(learner.weights, weights)
+
+
+@pytest.mark.parametrize("horizon", [2.5, 2.0, True, 0, -1, "3"])
+def test_rwm_horizon_must_be_a_positive_int(horizon):
+    # truncating 2.5 to 2 would set lr and regret_bound from different horizons
+    H = BinaryClass(Domain(2), [[1, -1], [-1, 1]])
+    with pytest.raises(ValueError, match="horizon must be an int >= 1"):
+        RWMLearner(H, horizon)
+    with pytest.raises(ValueError, match="horizon must be an int >= 1"):
+        comp_online(H, H, horizon)
+
+
+@pytest.mark.parametrize("make", [SOALearner, lambda H: RWMLearner(H, horizon=4)])
+@pytest.mark.parametrize("y", [0, 2, -2, 0.5, True])
+def test_update_rejects_a_label_that_is_not_pm1(make, y):
+    # the label is checked before any state changes
+    H = BinaryClass(Domain(2), [[1, -1], [-1, 1], [1, "*"]])
+    learner = make(H)
+    state = lambda: learner.weights.tolist() if isinstance(learner, RWMLearner) else learner.version
+    before = state()
+    with pytest.raises(ValueError, match=r"labels must be -1 or \+1"):
+        learner.update(0, y)
+    assert state() == before
+
+
 # --- run_sequence ------------------------------------------------------------------
 
 
