@@ -10,8 +10,10 @@ Exit codes: 0 success, 2 config/usage error, 3 guard exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import pathlib
 import sys
 
 import numpy as np
@@ -31,7 +33,7 @@ from .core import (
     model_from_json,
     model_to_json,
 )
-from .experiments import run_experiment, scenario
+from .experiments import DIRECTIONS, SCENARIOS, run_experiment, scenario
 from .stat_model import (
     DiscreteDistribution,
     cal_error,
@@ -107,10 +109,6 @@ def cmd_dims(args) -> None:
     _emit(out)
 
 
-def _loss(args) -> offline.LossFunction:
-    return offline.squared_loss() if args.loss == "squared" else offline.absolute_loss()
-
-
 def _binary_model(f):
     if not isinstance(f, BinaryModel):
         raise ConfigError("class_error needs a binary --model")
@@ -129,7 +127,7 @@ _FUNCTIONALS = {
     ),
     "cal_error": (("model",), lambda f, B, mu, a: cal_error(f, mu)),
     "sign_cal_error": (("model",), lambda f, B, mu, a: sign_cal_error(f, mu)),
-    "regression_loss": (("model",), lambda f, B, mu, a: regression_loss(f, _loss(a), mu)),
+    "regression_loss": (("model",), lambda f, B, mu, a: regression_loss(f, offline.LOSSES[a.loss](), mu)),
 }
 
 
@@ -163,27 +161,21 @@ def cmd_learn(args) -> None:
     task = args.task
     if task == "comp":
         model = offline.comparative_learn(S, B, data)
-    elif task == "dcorm":
-        model = offline.dcorm_real(as_real_class(S), as_real_class(B), data, lp, rng)
-    elif task == "corm":
-        model = offline.corm_general(as_real_class(S), as_real_class(B), data, lp, rng)
     else:
-        oracle = offline.exact_weak_oracle(
-            eta2=lp.eta2 or 0.25, alpha=lp.alpha, gamma=lp.gamma
-        )
-        part = IntervalPartition(lp.k)
-        if task == "mamc":
-            model = offline.ma_mc_learn(
-                as_real_class(S), as_real_class(B), data, part, lp, oracle, rng
-            )
-        elif task == "boost":
-            model = offline.boost(as_real_class(S), as_real_class(B), data, oracle, lp, rng)
-        elif task == "omni":
-            model = offline.omnipredict(
-                as_real_class(S), as_real_class(B), _loss(args), data, part, lp, oracle, rng
-            )
+        S, B = as_real_class(S), as_real_class(B)
+        if task == "dcorm":
+            model = offline.dcorm_real(S, B, data, lp, rng)
+        elif task == "corm":
+            model = offline.corm_general(S, B, data, lp, rng)
         else:
-            raise ConfigError(f"unknown task {task!r}")
+            oracle = offline.exact_weak_oracle(eta2=lp.eta2 or 0.25, alpha=lp.alpha, gamma=lp.gamma)
+            part = IntervalPartition(lp.k)
+            if task == "mamc":
+                model = offline.ma_mc_learn(S, B, data, part, lp, oracle, rng)
+            elif task == "boost":
+                model = offline.boost(S, B, data, oracle, lp, rng)
+            else:
+                model = offline.omnipredict(S, B, offline.LOSSES[args.loss](), data, part, lp, oracle, rng)
     provenance = {"task": task, "params_hash": _params_hash(params_raw), "seed": args.seed}
     dump_json(model_to_json(model, provenance), args.out)
 
@@ -222,17 +214,8 @@ def cmd_online(args) -> None:
                 ldim_bound = online.ldim_rate_bound(m, report.n)
         except GuardError:
             pass  # report the RWM quantity alone when Ldim guards trip
-        dump_json(
-            {
-                "n": report.n,
-                "learner_rate": report.learner_rate,
-                "benchmark_rate": report.benchmark_rate,
-                "regret": report.regret,
-                "rwm_bound": report.rwm_bound,
-                "ldim_rate_bound": ldim_bound,
-            },
-            args.out_report,
-        )
+        fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.name != "rounds"}
+        dump_json({**fields, "ldim_rate_bound": ldim_bound}, args.out_report)
     if args.out_rounds:
         with open(args.out_rounds, "w") as fh:
             fh.write("round,p_plus,y,cum_expected_mistakes\n")
@@ -253,8 +236,6 @@ def cmd_scenario(args) -> None:
         "distribution_specific": spec.mu_x is not None,
     }
     if args.out_dir:
-        import pathlib
-
         d = pathlib.Path(args.out_dir)
         d.mkdir(parents=True, exist_ok=True)
         dump_json(class_to_json(spec.source), d / "source.json")
@@ -292,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--benchmark", default=None, help="class JSON")
     e.add_argument("--dist", required=True, help="distribution JSON")
     e.add_argument("--k", type=int, default=1, help="partition size for mc_error_lambda")
-    e.add_argument("--loss", default="squared", choices=["squared", "absolute"])
+    e.add_argument("--loss", default="squared", choices=offline.LOSSES)
     e.set_defaults(func=cmd_eval)
 
     l = sub.add_parser("learn", help="run a batch learner")
@@ -302,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--params", default=None, help="LearnerParams JSON")
     l.add_argument("--data", required=True, help="dataset CSV")
     l.add_argument("--seed", type=int, default=0)
-    l.add_argument("--loss", default="squared", choices=["squared", "absolute"])
+    l.add_argument("--loss", default="squared", choices=offline.LOSSES)
     l.add_argument("--out", required=True, help="output model JSON")
     l.set_defaults(func=cmd_learn)
 
@@ -320,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     o.set_defaults(func=cmd_online)
 
     s = sub.add_parser("scenario", help="build a named construction")
-    s.add_argument("--name", required=True, choices=["figure1", "c1", "c2", "c3", "c4"])
+    s.add_argument("--name", required=True, choices=SCENARIOS)
     s.add_argument("--m", type=int, required=True)
-    s.add_argument("--direction", default="forward", choices=["forward", "reversed"])
+    s.add_argument("--direction", default="forward", choices=DIRECTIONS)
     s.add_argument("--epsilon", type=float, default=0.0)
     s.add_argument("--delta", type=float, default=0.0)
     s.add_argument("--out-dir", dest="out_dir", default=None)

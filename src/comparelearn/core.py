@@ -71,6 +71,11 @@ STAR = _Star()
 _BINARY_STAR = np.int8(0)
 
 
+def _is_int(value) -> bool:
+    """Is ``value`` a JSON integer (a bool is not one)?"""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Domain:
     """A finite set of individuals addressed by index 0..size-1."""
@@ -78,7 +83,7 @@ class Domain:
     size: int
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 1:
+        if not _is_int(self.size) or self.size < 1:
             raise ValueError(f"domain size must be a positive integer, got {self.size!r}")
 
 
@@ -392,7 +397,7 @@ class IntervalPartition:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
+        if not _is_int(self.k) or self.k < 1:
             raise ValueError("partition size k must be a positive integer")
 
     def cell_indices(self, arr: np.ndarray) -> np.ndarray:
@@ -538,14 +543,10 @@ def multi_agreement_class(classes: Sequence[BinaryClass]) -> BinaryClass:
     classes = list(classes)
     if not classes:
         raise ValueError("at least one class is required")
-    domain = classes[0].domain
+    acc = BinaryClass(classes[0].domain, classes[0].matrix)
     for c in classes[1:]:
-        if c.domain.size != domain.size:
-            raise ValueError("classes must share a domain")
-    acc = _dedup_rows(classes[0].matrix)
-    for c in classes[1:]:
-        acc = _dedup_rows(_agreement_matrix(acc, c.matrix))
-    return BinaryClass(domain, acc)
+        acc = agreement_class(acc, c)
+    return acc
 
 
 def shift_scale_class(S: RealClass, f: RealModel) -> RealClass:
@@ -579,7 +580,7 @@ def _row_to_json(row: np.ndarray) -> list:
 def _domain_from_json(data) -> Domain:
     """The domain of a class, model or distribution file: a positive int size."""
     size = data["domain"]["size"]
-    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+    if not _is_int(size) or size < 1:
         raise ConfigError(f"domain size must be a positive integer, got {size!r}")
     return Domain(size)
 

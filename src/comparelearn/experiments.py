@@ -35,6 +35,7 @@ from .core import (
     GuardError,
     RealClass,
     RealModel,
+    _is_int,
     _json_float,
     _real_view,
     _star,
@@ -198,22 +199,14 @@ def scenario(
     """
     if m < 1:
         raise ConfigError("m must be >= 1")
-    if direction not in ("forward", "reversed"):
+    if direction not in DIRECTIONS:
         raise ConfigError(f"unknown direction {direction!r}")
-    if name == "figure1":
-        return _scenario_figure1(m, epsilon, delta)
-    if name == "c1":
-        return _scenario_c1(m, direction, epsilon, delta)
-    if name == "c2":
-        return _scenario_c2(m, direction, epsilon, delta)
-    if name == "c3":
-        return _scenario_c3(m, direction, epsilon, delta)
-    if name == "c4":
-        return _scenario_c4(m, epsilon, delta)
-    raise ConfigError(f"unknown scenario {name!r}")
+    if name not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {name!r}")
+    return SCENARIOS[name](m, direction, epsilon, delta)
 
 
-def _scenario_figure1(m: int, epsilon: float, delta: float) -> TaskSpec:
+def _scenario_figure1(m: int, direction: str, epsilon: float, delta: float) -> TaskSpec:
     if m > SCENARIO_EXHAUSTIVE_M:
         raise GuardError(f"figure1 exhaustive mode is guarded to m <= {SCENARIO_EXHAUSTIVE_M}")
     n = 2 * m
@@ -329,7 +322,7 @@ def _scenario_c3(m: int, direction: str, epsilon: float, delta: float) -> TaskSp
     )
 
 
-def _scenario_c4(m: int, epsilon: float, delta: float) -> TaskSpec:
+def _scenario_c4(m: int, direction: str, epsilon: float, delta: float) -> TaskSpec:
     """Bottom point plus a 4 x m grid; E[s(x) b(x)] does not depend on s.
 
     Point 0 is the bottom point; grid row i in 1..4 is the block of points
@@ -355,6 +348,17 @@ def _scenario_c4(m: int, epsilon: float, delta: float) -> TaskSpec:
         mu_x=mu_x,
         meta={"m": m},
     )
+
+
+# name -> builder(m, direction, epsilon, delta); figure1 and c4 have no direction
+SCENARIOS = {
+    "figure1": _scenario_figure1,
+    "c1": _scenario_c1,
+    "c2": _scenario_c2,
+    "c3": _scenario_c3,
+    "c4": _scenario_c4,
+}
+DIRECTIONS = ("forward", "reversed")
 
 
 def _scaled_ints(values: np.ndarray, scale: int, what: str) -> np.ndarray:
@@ -568,11 +572,6 @@ _ENTRY_DEFAULTS = {
 }
 
 
-def _is_int(value) -> bool:
-    """Is ``value`` a JSON integer (a bool is not one)?"""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _reject_unknown_keys(obj: dict, allowed, where: str) -> None:
     for key in obj:
         if key not in allowed:
@@ -601,13 +600,13 @@ def _validate_config(cfg: dict) -> dict:
         e = {**_ENTRY_DEFAULTS, **e}
         entries.append(e)
         name = e.get("scenario")
-        if name not in ("figure1", "c1", "c2", "c3", "c4"):
+        if not isinstance(name, str) or name not in SCENARIOS:
             raise ConfigError(f"{where}.scenario: unknown scenario {name!r}")
         if not _is_int(e.get("m")) or e["m"] < 1:
             raise ConfigError(f"{where}.m: required positive integer")
         if name == "c4" and any(e[key] != value for key, value in _ENTRY_DEFAULTS.items()):
             raise ConfigError(f"{where}: c4 takes only scenario and m; other keys only at their defaults")
-        if e["direction"] not in ("forward", "reversed"):
+        if e["direction"] not in DIRECTIONS:
             raise ConfigError(f"{where}.direction: must be forward or reversed")
         try:
             epsilon, delta = (
@@ -626,7 +625,7 @@ def _validate_config(cfg: dict) -> dict:
             raise ConfigError(f"{where}.trials: must be a positive integer")
         if e["mode"] not in ("sampled", "adversarial"):
             raise ConfigError(f"{where}.mode: must be sampled or adversarial")
-        if e["learner"] not in LEARNER_FACTORIES:
+        if not isinstance(e["learner"], str) or e["learner"] not in LEARNER_FACTORIES:
             raise ConfigError(
                 f"{where}.learner: must be one of {sorted(LEARNER_FACTORIES)}"
             )

@@ -648,6 +648,9 @@ def absolute_loss() -> LossFunction:
     )
 
 
+LOSSES = {"squared": squared_loss, "absolute": absolute_loss}
+
+
 def tau(loss: LossFunction, u: float) -> float:
     """argmin over q in [-1,1] of E_{y ~ Ber*(u)}[loss(y, q)].
 

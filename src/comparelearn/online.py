@@ -3,7 +3,8 @@
 Learners expose ``predict(x) -> p`` (the probability of predicting +1) and
 ``update(x, y)``.  All mistake quantities are computed in expectation from
 the prediction probabilities; no coins are flipped, so repeated runs are
-identical.
+identical.  A point outside the class's domain raises ValueError before any
+learner state changes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryClass, agreement_class
+from .core import BinaryClass, _is_int, agreement_class
 from .dimensions import LdimGame, MistakeTree, tree_shattered_by
 from .offline import _mistakes
 from .stat_model import Dataset
@@ -22,6 +23,11 @@ from .stat_model import Dataset
 def _check_label(y) -> None:
     if isinstance(y, bool) or y not in (-1, 1):
         raise ValueError(f"labels must be -1 or +1, got {y!r}")
+
+
+def _check_point(x, size: int) -> None:
+    if not 0 <= x < size:
+        raise ValueError(f"points must lie in [0, {size}), got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -73,12 +79,14 @@ class SOALearner:
         self.version = self._oracle.full
 
     def predict(self, x: int) -> float:
+        _check_point(x, len(self._oracle.plus))
         vp = self.version & self._oracle.plus[x]
         vm = self.version & self._oracle.minus[x]
         return 1.0 if self._oracle.value(vp) >= self._oracle.value(vm) else 0.0
 
     def update(self, x: int, y: int) -> None:
         _check_label(y)
+        _check_point(x, len(self._oracle.plus))
         mask = self._oracle.plus[x] if y == 1 else self._oracle.minus[x]
         self.version &= mask
 
@@ -104,7 +112,7 @@ class RWMLearner:
     def __init__(self, H: BinaryClass, horizon: int):
         if H.is_empty:
             raise ValueError("RWM requires a nonempty class")
-        if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
+        if not _is_int(horizon) or horizon < 1:
             raise ValueError(f"horizon must be an int >= 1, got {horizon!r}")
         self.H = H
         self.horizon = horizon
@@ -122,6 +130,7 @@ class RWMLearner:
         """Member indices sorted stably by their vote at x (-1, *, +1) and where the * and +1 runs start."""
         votes = self._votes_at.get(x)
         if votes is None:
+            _check_point(x, self.H.domain.size)
             col = self.H.matrix[:, x]
             order = np.argsort(col, kind="stable")
             votes = self._votes_at[x] = (order, *col[order].searchsorted((0, 1)))

@@ -28,6 +28,9 @@ from .core import (
     RealHypothesis,
     RealModel,
     _domain_from_json,
+    _freeze,
+    _Immutable,
+    _is_int,
     _json_float,
     _real_view,
     _star,
@@ -72,7 +75,7 @@ class Dataset:
         return Dataset(self.xs[start:stop], self.ys[start:stop], self.meta)
 
 
-class DiscreteDistribution:
+class DiscreteDistribution(_Immutable):
     """Finite-support joint law over (individual index, label).
 
     Atoms with identical (x, y) are merged; masses must be positive and sum
@@ -108,15 +111,10 @@ class DiscreteDistribution:
         if abs(ps.sum() - 1.0) > MASS_TOL:
             raise ValueError(f"masses must sum to 1 within {MASS_TOL}, got {ps.sum()!r}")
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "ps", ps)
+        object.__setattr__(self, "xs", _freeze(xs))
+        object.__setattr__(self, "ys", _freeze(ys))
+        object.__setattr__(self, "ps", _freeze(ps))
         object.__setattr__(self, "label_kind", label_kind)
-        for arr in (xs, ys, ps):
-            arr.flags.writeable = False
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiscreteDistribution is immutable")
 
     def marginal_x(self) -> np.ndarray:
         out = np.zeros(self.domain.size)
@@ -146,7 +144,7 @@ class DiscreteDistribution:
                 if not (isinstance(row, list) and len(row) == 3):
                     raise ValueError(f"support row must be a list [x, y, p], got {row!r}")
                 x, y, p = row
-                if isinstance(x, bool) or not isinstance(x, int):
+                if not _is_int(x):
                     raise ValueError(f"support index must be an integer, got {x!r}")
                 y = _json_float(y, "support label must be a number")
                 atoms.append((x, y, _json_float(p, "support mass must be a number")))

@@ -222,6 +222,19 @@ def test_learn_default_gamma_or_epsilon_exit_2(tmp_path, capsys, class_files, ta
     assert not outp.exists()
 
 
+def test_learn_bool_partition_size_exit_2(tmp_path, capsys, class_files):
+    # true used to be read as k = 1
+    sp, bp, S, B = class_files
+    datap, pp, outp = tmp_path / "data.csv", tmp_path / "params.json", tmp_path / "model.json"
+    save_dataset(Dataset([0, 1], [1.0, -1.0]), datap)
+    write_json(pp, {"gamma": 0.5, "W": 20, "k": True})
+    argv = ["learn", "--task", "mamc", "--source", str(sp), "--benchmark", str(bp),
+            "--params", str(pp), "--data", str(datap), "--out", str(outp)]
+    assert main(argv) == 2
+    assert "partition size k must be a positive integer" in capsys.readouterr().err
+    assert not outp.exists()
+
+
 def test_online_replay_outputs(tmp_path, class_files):
     sp, bp, S, B = class_files
     rng = rng_stream(97, 6)

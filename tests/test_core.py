@@ -40,6 +40,7 @@ from comparelearn.core import (
     sign_arr,
     validate_sign_vector,
 )
+from comparelearn.stat_model import DiscreteDistribution
 from conftest import random_binary_class, random_real_class, random_real_model
 
 from comparelearn import rng_stream
@@ -134,6 +135,13 @@ def test_discretize_properties(eta):
 def test_domain_validation():
     with pytest.raises(ValueError):
         Domain(0)
+
+
+@pytest.mark.parametrize("make", [Domain, IntervalPartition])
+@pytest.mark.parametrize("size", [True, False, 2.0, "3"])
+def test_sizes_are_ints_and_a_bool_is_not_one(make, size):
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        make(size)
 
 
 def test_binary_hypothesis_labels():
@@ -606,6 +614,18 @@ def test_value_type_contract(make, other, kin, text):
     assert obj != kin and kin != obj
     assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
     assert repr(obj) == text
+
+
+def test_distribution_is_an_immutable_value():
+    # it has no values array and no hash, so it is not a case of the contract above
+    dist = DiscreteDistribution(D3, [(0, 1.0, 0.5), (2, -1.0, 0.5)], "binary")
+    for attr in ("domain", "xs", "ys", "ps", "label_kind", "extra"):
+        with pytest.raises(AttributeError, match="^DiscreteDistribution is immutable$"):
+            setattr(dist, attr, None)
+    for arr in (dist.xs, dist.ys, dist.ps):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    assert copy.copy(dist) is dist and copy.deepcopy(dist) is dist
 
 
 # --- row and matrix validators ----------------------------------------------------

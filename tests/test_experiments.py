@@ -478,6 +478,10 @@ def test_run_experiment_rejects_bad_config(tmp_path):
         {"seed": 1, "experiments": [{**c1, "delta": 1}]},
         {"seed": 1, "experiments": [{**c1, "delta": -0.5}]},
         {"seed": 1, "experiments": [{**c1, "epsilon": "0.1"}]},
+        # a list is no name, and is refused before any table lookup
+        {"seed": 1, "experiments": [{"scenario": ["c1"], "m": 1}]},
+        {"seed": 1, "experiments": [{**c1, "direction": ["forward"]}]},
+        {"seed": 1, "experiments": [{**c1, "learner": ["default"]}]},
         # a c4 entry reads only scenario and m; every other key is checked or refused
         {"seed": 1, "experiments": [{"scenario": "c4", "m": 1, "epsilon": True, "grid": "x", "mode": "bogus"}]},
         {"seed": 1, "experiments": [{"scenario": "c4", "m": 1, "trials": 5}]},

@@ -240,6 +240,23 @@ def test_update_rejects_a_label_that_is_not_pm1(make, y):
     assert state() == before
 
 
+@pytest.mark.parametrize("make", [SOALearner, lambda H: RWMLearner(H, horizon=2)])
+@pytest.mark.parametrize("x", [-1, -3, 3])
+def test_a_point_outside_the_domain_is_refused(make, x):
+    # -1 and -3 used to wrap to points 2 and 0, and 3 gave a bare IndexError
+    H = BinaryClass(Domain(3), [[1, -1, 1], [-1, -1, 1], [1, "*", -1]])
+    learner = make(H)
+    learner.update(1, 1)
+    state = lambda: learner.weights.tolist() if isinstance(learner, RWMLearner) else learner.version
+    before = state()
+    for call in (lambda: learner.predict(x), lambda: learner.update(x, 1)):
+        with pytest.raises(ValueError, match=r"points must lie in \[0, 3\), got " + str(x)):
+            call()
+    assert state() == before
+    with pytest.raises(ValueError, match=r"points must lie in \[0, 3\)"):
+        run_sequence(make(H), LabeledSequence(((0, 1), (x, 1))), H)
+
+
 # --- run_sequence ------------------------------------------------------------------
 
 
