@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import pathlib
@@ -252,6 +253,7 @@ def cmd_estimate(args) -> None:
     _emit({"out_dir": args.out_dir, "experiments": len(summary["experiments"])})
 
 
+@functools.cache  # built on the first main call, after any rebinding of the cmd_* functions
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="comparelearn", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)

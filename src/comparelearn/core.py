@@ -15,6 +15,7 @@ the same domain size with the same label bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -152,11 +153,44 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+@functools.cache
+def _slot_names(cls) -> tuple[str, ...]:
+    """Every slot of ``cls``, base classes first."""
+    return tuple(name for klass in reversed(cls.__mro__) for name in vars(klass).get("__slots__", ()))
+
+
+def _from_slots(cls, values):
+    """A ``cls`` whose slots hold ``values`` in order (the unpickling path)."""
+    return object.__new__(cls)._fill(*values)
+
+
 class _Immutable:
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fill(self, *values):
+        """Set the slots to ``values`` in order, freezing arrays; returns ``self``."""
+        for name, value in zip(_slot_names(type(self)), values, strict=True):
+            object.__setattr__(self, name, _freeze(value) if isinstance(value, np.ndarray) else value)
+        return self
+
+    def _slot_values(self) -> tuple:
+        return tuple(getattr(self, name) for name in _slot_names(type(self)))
+
+    def _key(self) -> tuple:
+        """The slot values with each array read as its bytes."""
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in self._slot_values())
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._key()))
+
+    def __reduce__(self):
+        return _from_slots, (type(self), self._slot_values())
 
     def __copy__(self):
         return self
@@ -176,16 +210,6 @@ class _Labeling(_Immutable):
             raise ValueError(self._length_error)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", _freeze(arr))
-
-    def __eq__(self, other):
-        return (
-            type(self) is type(other)
-            and self.domain.size == other.domain.size
-            and self.values.tobytes() == other.values.tobytes()
-        )
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.domain.size, self.values.tobytes()))
 
 
 class _Hypothesis(_Labeling):
@@ -286,16 +310,6 @@ class _BaseClass(_Immutable):
 
     def members(self):
         return [self.member(i) for i in range(len(self))]
-
-    def __eq__(self, other):
-        return (
-            type(self) is type(other)
-            and self.domain.size == other.domain.size
-            and self.matrix.tobytes() == other.matrix.tobytes()
-        )
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.domain.size, self.matrix.tobytes()))
 
     def __repr__(self):
         return f"{type(self).__name__}(|X|={self.domain.size}, members={len(self)})"

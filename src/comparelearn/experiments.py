@@ -51,13 +51,12 @@ from .stat_model import (
     DETERMINISTIC,
     Dataset,
     DiscreteDistribution,
-    SourceModel,
     _binary_values,
     _corr_rows,
     _error_rows,
+    _law_rows,
     _loss_rows,
     _total_values,
-    make_distribution,
     rng_stream,
 )
 
@@ -164,12 +163,9 @@ def _subset_uniform(n: int, subset) -> np.ndarray:
 
 def _family(sources, laws, marginals) -> list[DiscreteDistribution]:
     """One distribution per (member, marginal, law) of ``sources``, in that nesting order."""
-    return [
-        make_distribution(mu_x, SourceModel(hyp, law))
-        for hyp in map(sources.member, range(len(sources)))
-        for mu_x in marginals
-        for law in laws
-    ]
+    values = _real_view(sources.matrix)
+    per_law = [_law_rows(sources.domain, values, mu_x, law) for mu_x in marginals for law in laws]
+    return [dist for member in zip(*per_law) for dist in member]
 
 
 def scenario(

@@ -28,7 +28,6 @@ from .core import (
     RealHypothesis,
     RealModel,
     _domain_from_json,
-    _freeze,
     _Immutable,
     _is_int,
     _json_float,
@@ -102,19 +101,21 @@ class DiscreteDistribution(_Immutable):
             if not p > 0:
                 raise ValueError("masses must be positive")
             merged[(x, y + 0.0)] = merged.get((x, y + 0.0), 0.0) + p
-        if not merged:
-            raise ValueError("distribution needs at least one atom")
         keys = sorted(merged)
         xs = np.array([k[0] for k in keys], dtype=np.int64)
         ys = np.array([k[1] for k in keys], dtype=np.float64)
         ps = np.array([merged[k] for k in keys], dtype=np.float64)
+        self._set_arrays(domain, xs, ys, ps, label_kind)
+
+    def _set_arrays(self, domain: Domain, xs, ys, ps, label_kind: str) -> "DiscreteDistribution":
+        """Set and freeze the slots from atom arrays sorted by (x, y) with distinct
+        atoms and positive masses, after checking that there is an atom and the
+        masses sum to 1; returns ``self``."""
+        if xs.size == 0:
+            raise ValueError("distribution needs at least one atom")
         if abs(ps.sum() - 1.0) > MASS_TOL:
             raise ValueError(f"masses must sum to 1 within {MASS_TOL}, got {ps.sum()!r}")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "xs", _freeze(xs))
-        object.__setattr__(self, "ys", _freeze(ys))
-        object.__setattr__(self, "ps", _freeze(ps))
-        object.__setattr__(self, "label_kind", label_kind)
+        return self._fill(domain, xs, ys, ps, label_kind)
 
     def marginal_x(self) -> np.ndarray:
         out = np.zeros(self.domain.size)
@@ -203,33 +204,66 @@ def _check_mu_x(mu_x, size: int) -> np.ndarray:
     return mu
 
 
+def _defined_support(mu_x, values: np.ndarray):
+    """``mu_x`` checked as a probability vector, and its support, on which every
+    row of real ``values`` (NaN = *) must be defined."""
+    mu = _check_mu_x(mu_x, values.shape[-1])
+    support = np.flatnonzero(mu > 0)
+    if _star(values[..., support]).any():
+        raise ValueError("source hypothesis must be defined on the support (no *)")
+    return mu, support
+
+
+def _law_rows(domain: Domain, values: np.ndarray, mu_x, law: str) -> list[DiscreteDistribution]:
+    """The joint law of (x, y) with x ~ mu_x and y from the DETERMINISTIC or
+    BER_STAR law of each row of real ``values`` (NaN = *, no -0.0, as a class
+    or hypothesis stores them), one distribution per row, all rows in one
+    array pass.
+
+    BER_STAR puts (1 - u)/2 on y = -1 and (1 + u)/2 on y = +1 at a point of
+    value u and drops an atom of mass 0; the atoms come out sorted by (x, y).
+    """
+    mu, support = _defined_support(mu_x, values)
+    u = values[:, support]
+    if law == DETERMINISTIC:
+        xs, ys, q = support, u, np.ones_like(u)
+    else:
+        xs = np.repeat(support, 2)
+        ys = np.tile([-1.0, 1.0], support.size)
+        q = np.stack(((1.0 - u) / 2.0, (1.0 + u) / 2.0), axis=-1).reshape(u.shape[0], xs.size)
+    xs, ys = np.broadcast_to(xs, q.shape), np.broadcast_to(ys, q.shape)
+    ps = mu[xs] * q
+    keep = q > 0
+    if not ps[keep].all():  # a mass that underflowed to 0
+        raise ValueError("masses must be positive")
+    binary = (np.abs(ys) == 1.0).all(axis=1)
+    return [
+        DiscreteDistribution.__new__(DiscreteDistribution)._set_arrays(
+            domain, xs[r][keep[r]], ys[r][keep[r]], ps[r][keep[r]], "binary" if binary[r] else "real"
+        )
+        for r in range(q.shape[0])
+    ]
+
+
 def make_distribution(mu_x, source: SourceModel) -> DiscreteDistribution:
     """Exact joint law of (x, y) with x ~ mu_x and y from the source law."""
-    hyp = source.hypothesis
-    domain = hyp.domain
-    mu = _check_mu_x(mu_x, domain.size)
+    domain = source.hypothesis.domain
     svals = source.real_values()
-    support_x = np.flatnonzero(mu > 0)
-    if _star(svals[support_x]).any():
-        raise ValueError("source hypothesis must be defined on the support (no *)")
+    if source.law != CUSTOM:
+        return _law_rows(domain, svals[None], mu_x, source.law)[0]
+    mu, support_x = _defined_support(mu_x, svals)
     atoms = []
     for x in support_x.tolist():
-        # the conditional law of y at x as (y, q) pairs
-        if source.law == DETERMINISTIC:
-            law = [(float(svals[x]), 1.0)]
-        elif source.law == BER_STAR:
-            law = ber_star(float(svals[x])).items()
-        else:
-            law = source.conditionals.get(x)
-            if law is None:
-                raise ValueError(f"CUSTOM law missing conditionals for point {x}")
-            mean = sum(y * q for y, q in law)
-            if abs(sum(q for _, q in law) - 1.0) > MASS_TOL:
-                raise ValueError(f"conditional law at {x} must sum to 1")
-            if abs(mean - svals[x]) > MASS_TOL:
-                raise ValueError(
-                    f"conditional mean at {x} is {mean}, expected s(x) = {svals[x]}"
-                )
+        law = source.conditionals.get(x)  # the conditional law of y at x as (y, q) pairs
+        if law is None:
+            raise ValueError(f"CUSTOM law missing conditionals for point {x}")
+        mean = sum(y * q for y, q in law)
+        if abs(sum(q for _, q in law) - 1.0) > MASS_TOL:
+            raise ValueError(f"conditional law at {x} must sum to 1")
+        if abs(mean - svals[x]) > MASS_TOL:
+            raise ValueError(
+                f"conditional mean at {x} is {mean}, expected s(x) = {svals[x]}"
+            )
         atoms += [(x, float(y), float(mu[x]) * q) for y, q in law if q > 0]
     kind = "binary" if all(abs(y) == 1.0 for _, y, _ in atoms) else "real"
     return DiscreteDistribution(domain, atoms, kind)

@@ -1,8 +1,8 @@
 """sha256 pins over seeded exact answers: dimensions with witnesses, functionals, and CLI bytes.
 
 Each pin feeds its answers through ``conftest.feed`` in a fixed order and compares one
-digest. All three were computed with numpy 2.4.6; a digest that moves means an answer
-moved (a value, a witness, a tie-break, a float's last bit or a written byte).
+digest. All four were computed with numpy 2.4.6; a digest that moves means an answer
+moved (a value, a witness, a tie-break, a float's last bit, a written or a printed byte).
 """
 
 import hashlib
@@ -209,3 +209,35 @@ def test_cli_bytes_are_pinned(tmp_path, capsys):
         if path.is_file() and path.name != "summary.json":
             feed(h, str(path.relative_to(tmp_path)), path.read_bytes())
     assert h.hexdigest() == "7ed3b030c298e139deb6663a3315eba6226aef5214fe8bbd60c65a34755f0f09"
+
+
+def test_cli_stdout_is_pinned(tmp_path, capsys):
+    """What the README's dims and eval examples and `scenario` without --out-dir print, byte for byte.
+
+    Computed with numpy 2.4.6 before `cli.build_parser` was cached, so it also gates the reused parser.
+    """
+    gen = rng_stream(113, 0)
+    files = {name: tmp_path / f"{name}.json" for name in ("S", "B", "C", "St", "Bt")}
+    for name, path in files.items():  # St and Bt are total, as --packing needs
+        _write(path, class_to_json(random_binary_class(gen, 6, 24, star_prob=0.0 if "t" in name else 0.15)))
+    _write(tmp_path / "f.json", {"domain": {"size": 6}, "kind": "real",
+                                 "values": gen.choice(GRID, size=6).tolist()})
+    _write(tmp_path / "mu.json", random_binary_distribution(gen, 6, n_atoms=9).to_json())
+    pair = [str(files["S"]), str(files["B"])]
+    triple = [*pair, str(files["C"])]
+    functional = ["--model", str(tmp_path / "f.json"), "--benchmark", str(files["B"]), "--dist", str(tmp_path / "mu.json")]
+    h = hashlib.sha256()
+    for argv in (
+        ["dims", *pair],
+        ["dims", *triple],
+        ["dims", *pair, "--margin", "0.1"],
+        ["dims", *pair, "--margins", "0.1,0.2"],
+        ["dims", *pair, "--ldim"],
+        ["dims", str(files["St"]), str(files["Bt"]), "--packing", "0.2"],
+        ["eval", "--functional", "ma_error", *functional],
+        ["eval", "--functional", "mc_error_lambda", *functional, "--k", "4"],
+        ["scenario", "--name", "c1", "--m", "2", "--direction", "reversed"],
+    ):
+        assert main(argv) == 0, argv
+        feed(h, [arg.replace(str(tmp_path), "") for arg in argv], capsys.readouterr().out)
+    assert h.hexdigest() == "7e89bcb0586632e77c0042b4ff56b28be522074818fd2bb4e9eda93c3d82305e"

@@ -15,7 +15,8 @@ from comparelearn import (
     model_from_json,
     rng_stream,
 )
-from comparelearn.cli import main
+from comparelearn import __version__
+from comparelearn.cli import build_parser, main
 from comparelearn.stat_model import DiscreteDistribution, Dataset, save_dataset
 from conftest import random_binary_class, random_binary_distribution
 
@@ -437,6 +438,53 @@ def test_estimate_command_and_exit_codes(tmp_path, capsys):
     big = tmp_path / "big.json"
     write_json(big, {"seed": 1, "experiments": [{"scenario": "c2", "m": 8, "grid": [0], "trials": 1}]})
     assert main(["estimate", "--config", str(big), "--out-dir", str(tmp_path / "nope2")]) == 3
+
+
+def test_reused_parser_leaks_nothing(tmp_path, capsys, class_files):
+    """Every subcommand run twice in one process, each call followed by a usage error and
+    --version, prints and writes the same bytes both times; a flag never carries over."""
+    sp, bp, S, B = class_files
+    rng = rng_stream(97, 7)
+    write_json(tmp_path / "f.json", {"domain": {"size": 4}, "kind": "real", "values": [0.5, -0.5, 1.0, 0.0]})
+    write_json(tmp_path / "mu.json", random_binary_distribution(rng, 4).to_json())
+    save_dataset(Dataset(rng.integers(0, 4, size=12), rng.choice([-1.0, 1.0], size=12)), tmp_path / "data.csv")
+    write_json(tmp_path / "cfg.json", {"seed": 5, "experiments": [{"scenario": "c1", "m": 1, "grid": [0, 1], "trials": 2}]})
+    out = tmp_path / "out"
+    out.mkdir()
+    pair = ["--source", str(sp), "--benchmark", str(bp)]
+    commands = [
+        ["dims", str(sp), str(bp), "--ldim"],
+        ["dims", str(sp), str(bp)],
+        ["eval", "--functional", "ma_error", "--model", str(tmp_path / "f.json"), "--benchmark", str(bp),
+         "--dist", str(tmp_path / "mu.json")],
+        ["learn", "--task", "comp", *pair, "--data", str(tmp_path / "data.csv"), "--out", str(out / "model.json")],
+        ["online", "--learner", "comp", *pair, "--adversary", "replay", "--replay", str(tmp_path / "data.csv"),
+         "--rounds", "12", "--out-report", str(out / "report.json"), "--out-rounds", str(out / "rounds.csv")],
+        ["scenario", "--name", "c1", "--m", "1", "--out-dir", str(out / "scen")],
+        ["estimate", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out / "results")],
+    ]
+
+    def one_pass():
+        printed = []
+        for argv in commands:
+            assert main(argv) == 0, argv
+            printed.append(capsys.readouterr().out)
+            for bad, code in (([argv[0], "--no-such-flag"], 2), (["--version"], 0)):
+                with pytest.raises(SystemExit) as exc:
+                    main(bad)
+                assert exc.value.code == code
+            assert capsys.readouterr().out == f"{__version__}\n"
+        summary = json.loads((out / "results" / "summary.json").read_text())
+        for entry in summary["experiments"]:
+            del entry["wall_ms"]
+        written = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file() and p.name != "summary.json"}
+        return printed, written, summary
+
+    first = one_pass()
+    assert one_pass() == first
+    assert "mutual_ldim" in json.loads(first[0][0]) and "mutual_vc" in json.loads(first[0][1])
+    assert len(first[1]) == 8  # model, report, rounds, three scenario files, results.csv, a curve
+    assert build_parser() is build_parser()
 
 
 def test_console_script_entrypoint():

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from comparelearn import (
     sigma_mask_class,
 )
 from comparelearn.core import (
+    _Immutable,
     _agreement_matrix,
     _dedup_rows,
     chi_arr,
@@ -617,7 +619,7 @@ def test_value_type_contract(make, other, kin, text):
 
 
 def test_distribution_is_an_immutable_value():
-    # it has no values array and no hash, so it is not a case of the contract above
+    # it has no values array, so it is not a case of the contract above
     dist = DiscreteDistribution(D3, [(0, 1.0, 0.5), (2, -1.0, 0.5)], "binary")
     for attr in ("domain", "xs", "ys", "ps", "label_kind", "extra"):
         with pytest.raises(AttributeError, match="^DiscreteDistribution is immutable$"):
@@ -626,6 +628,47 @@ def test_distribution_is_an_immutable_value():
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
     assert copy.copy(dist) is dist and copy.deepcopy(dist) is dist
+    # equal by domain, kind and atom bytes, whatever the order the atoms came in
+    twin = DiscreteDistribution(D3, [(2, -1.0, 0.25), (0, 1.0, 0.5), (2, -1.0, 0.25)], "binary")
+    assert dist == twin and hash(dist) == hash(twin)
+    assert dist != DiscreteDistribution(D3, [(0, 1.0, 0.5), (2, -1.0, 0.5)], "real")
+    assert dist != DiscreteDistribution(D3, [(0, 1.0, 0.25), (2, -1.0, 0.75)], "binary")
+
+
+PICKLED_VALUES = [
+    Domain(3),
+    IntervalPartition(4),
+    BinaryHypothesis(D3, [1, STAR, -1]),
+    RealHypothesis(D3, [0.5, -0.0, STAR]),
+    BinaryModel(D3, [1, -1, 1]),
+    RealModel(D3, [0.5, 0.0, -1.0]),
+    BinaryClass(D3, [[1, STAR, -1], [1, 1, 1]]),
+    BinaryClass(D3, np.empty((0, 3), dtype=np.int8)),
+    RealClass(D3, [[0.5, STAR, 1.0]]),
+    DiscreteDistribution(D3, [(0, 1.0, 0.25), (0, -1.0, 0.25), (2, 0.5, 0.5)], "real"),
+]
+
+
+def _value_types(cls=_Immutable):
+    for sub in cls.__subclasses__():
+        if not sub.__name__.startswith("_"):
+            yield sub
+        yield from _value_types(sub)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_value_types_survive_a_pickle_round_trip(protocol):
+    assert set(_value_types()) <= {type(v) for v in PICKLED_VALUES}
+    for value in PICKLED_VALUES:
+        twin = pickle.loads(pickle.dumps(value, protocol))
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        for name in ("values", "matrix", "xs", "ys", "ps"):
+            arr = getattr(twin, name, None)
+            if arr is not None:
+                assert arr.tobytes() == getattr(value, name).tobytes() and not arr.flags.writeable
+        if isinstance(twin, _Immutable):
+            with pytest.raises(AttributeError, match="is immutable$"):
+                twin.domain = None
 
 
 # --- row and matrix validators ----------------------------------------------------

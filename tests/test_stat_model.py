@@ -1,6 +1,7 @@
 """Distributions, sampling, and exact functionals vs. independent summation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from comparelearn import (
     sign_cal_error,
 )
 from comparelearn.core import ConfigError, gen_product_arr
-from comparelearn.experiments import _support_rows
+from comparelearn.experiments import _family, _support_rows
 from comparelearn.offline import round_model, squared_loss
 from comparelearn.stat_model import (
     BER_STAR,
@@ -43,6 +44,7 @@ from comparelearn.stat_model import (
     DETERMINISTIC,
     _corr_rows,
     _error_rows,
+    _law_rows,
     _loss_rows,
     load_dataset,
     save_dataset,
@@ -124,6 +126,87 @@ def test_duplicate_atoms_merge():
     dist = DiscreteDistribution(d, [(0, 1.0, 0.25), (0, 1.0, 0.25), (1, -1.0, 0.5)], "binary")
     assert len(dist.xs) == 2
     assert dist.marginal_x().tolist() == [0.5, 0.5]
+
+
+STAR_ON_SUPPORT = re.escape("source hypothesis must be defined on the support (no *)")
+
+
+@st.composite
+def law_rows_cases(draw):
+    """A partial binary or real class with * only off the support (unless ``starred``), a
+    marginal with zeros, a law, and whether to put one * on the support."""
+    n = draw(st.integers(1, 7))
+    weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+    mu = np.array(weights, dtype=np.float64) / sum(weights)
+    real = draw(st.booleans())
+    values = (-1.0, -0.75, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0) if real else (-1, 1)
+    rows = draw(st.integers(1, 6))
+    matrix = np.array(draw(st.lists(st.sampled_from(values), min_size=rows * n, max_size=rows * n)))
+    matrix = matrix.reshape(rows, n).astype(np.float64 if real else np.int8)
+    off = np.array(draw(st.lists(st.booleans(), min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+    matrix[off & (mu == 0)] = np.nan if real else 0
+    starred = draw(st.integers(0, 9)) == 0
+    if starred:
+        matrix[draw(st.integers(0, rows - 1)), draw(st.sampled_from(np.flatnonzero(mu > 0).tolist()))] = (
+            np.nan if real else 0
+        )
+    cls = (RealClass if real else BinaryClass)(Domain(n), matrix, dedup=False)
+    return cls, mu, draw(st.sampled_from((DETERMINISTIC, BER_STAR))), starred
+
+
+def law_atoms(u: float, law: str):
+    """The (y, q) pairs of the conditional law at a point of value ``u``, as ber_star states it."""
+    if law == DETERMINISTIC:
+        return [(u, 1.0)]
+    return [(float(y), q) for y, q in ber_star(u).items() if q > 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(law_rows_cases())
+def test_law_rows_match_the_atom_path(case):
+    """Each row of the family kernel equals the distribution built atom by atom, in bytes,
+    dtype, kind and read-only flag, and equals make_distribution of that member."""
+    cls, mu, law, starred = case
+    values = as_real_class(cls).matrix
+    if starred:
+        with pytest.raises(ValueError, match=STAR_ON_SUPPORT):
+            _law_rows(cls.domain, values, mu, law)
+        return
+    got = _law_rows(cls.domain, values, mu, law)
+    assert len(got) == len(cls)
+    for r, dist in enumerate(got):
+        atoms_r = [
+            (x, y, float(mu[x]) * q) for x in np.flatnonzero(mu > 0).tolist() for y, q in law_atoms(values[r, x], law)
+        ]
+        kind = "binary" if all(abs(y) == 1.0 for _, y, _ in atoms_r) else "real"
+        want = DiscreteDistribution(cls.domain, atoms_r, kind)
+        assert dist.label_kind == want.label_kind
+        for a, b in ((dist.xs, want.xs), (dist.ys, want.ys), (dist.ps, want.ps)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable and not b.flags.writeable
+        assert dist == make_distribution(mu, SourceModel(cls.member(r), law))
+
+
+@pytest.mark.parametrize("law", [DETERMINISTIC, BER_STAR])
+def test_law_rows_keep_the_atom_checks(law):
+    s = SourceModel(RealHypothesis(Domain(2), [1.0, 0.0]), law)
+    with pytest.raises(ValueError, match="distribution needs at least one atom"):
+        make_distribution(np.array([math.nan, math.nan]), s)  # NaN passes the marginal's sum check
+    if law == BER_STAR:  # 5e-324 * 1/2 rounds to a zero mass
+        with pytest.raises(ValueError, match="masses must be positive"):
+            make_distribution(np.array([1.0, 5e-324]), s)
+
+
+def test_family_keeps_member_marginal_law_order():
+    S = BinaryClass(Domain(3), [[1, -1, "*"], [-1, -1, 1], [1, 1, 1]])
+    marginals = (np.array([0.5, 0.5, 0.0]), np.array([0.25, 0.25, 0.5]))
+    laws = (DETERMINISTIC, BER_STAR)
+    with pytest.raises(ValueError, match=STAR_ON_SUPPORT):
+        _family(S, laws, marginals)
+    S = BinaryClass(Domain(3), S.matrix[1:])
+    assert _family(S, laws, marginals) == [
+        make_distribution(mu, SourceModel(h, law)) for h in S.members() for mu in marginals for law in laws
+    ]
 
 
 # --- class_error ----------------------------------------------------------------
