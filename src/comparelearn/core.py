@@ -77,6 +77,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_margin(value, name: str = "eta") -> None:
+    """Refuse a negative margin or radius, and NaN, which fails every comparison."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be >= 0")
+
+
 @dataclass(frozen=True)
 class Domain:
     """A finite set of individuals addressed by index 0..size-1."""
@@ -521,8 +527,7 @@ def binarize_class(H: RealClass, eta: float, r) -> BinaryClass:
     ``r`` may be a scalar theta (the constant-reference convenience H_eta^theta)
     or a per-point array.
     """
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
+    _check_margin(eta)
     if np.isscalar(r):
         ref = np.full(H.domain.size, float(r))
     else:
@@ -607,30 +612,44 @@ def class_to_json(H: BinaryClass | RealClass) -> dict:
     }
 
 
-def class_from_json(data: dict) -> BinaryClass | RealClass:
+def _labels_from_json(data, what: str) -> tuple[Domain, str, np.ndarray]:
+    """The domain, kind and encoded label rows of a class or model file.
+
+    A class file's rows are its ``members``; a model file's ``values`` is its
+    one row.  Without ``kind``, a file is binary when every label is "*" or a
+    JSON integer -1/+1, and real otherwise.
+    """
+    field = "members" if what == "class" else "values"
     try:
         domain = _domain_from_json(data)
-        members = data["members"]
+        rows = data[field]
     except (KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid class JSON: {exc}") from exc
-    if not isinstance(members, list) or not all(isinstance(row, list) for row in members):
+        raise ConfigError(f"invalid {what} JSON: {exc}") from exc
+    if what == "model":
+        if not isinstance(rows, list):
+            raise ConfigError("model values must be a list of labels")
+        rows = [rows]
+    elif not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ConfigError("class members must be a list of label lists")
     kind = data.get("kind")
     if kind is None:
-        binary = all(
-            lab == "*" or (isinstance(lab, int) and lab in (-1, 1))
-            for row in members
-            for lab in row
-        )
+        binary = all(lab == "*" or (_is_int(lab) and lab in (-1, 1)) for row in rows for lab in row)
         kind = "binary" if binary else "real"
-    if kind == "binary":
-        cls, encode = BinaryClass, _encode_binary
-    elif kind == "real":
-        cls, encode = RealClass, _encode_real
-    else:
-        raise ConfigError(f"unknown class kind {kind!r}")
-    rows = [encode(row, domain.size) for row in members]
-    return cls(domain, np.array(rows).reshape(len(rows), domain.size))
+    if kind not in ("binary", "real"):
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    encode = _encode_binary if kind == "binary" else _encode_real
+    try:
+        matrix = np.array([encode(row, domain.size) for row in rows]).reshape(len(rows), domain.size)
+    except ValueError as exc:
+        if what == "class":
+            raise
+        raise ValueError(f"{kind} model values: {exc}") from exc
+    return domain, kind, matrix
+
+
+def class_from_json(data: dict) -> BinaryClass | RealClass:
+    domain, kind, matrix = _labels_from_json(data, "class")
+    return (BinaryClass if kind == "binary" else RealClass)(domain, matrix)
 
 
 def model_to_json(f: BinaryModel | RealModel, provenance: dict | None = None) -> dict:
@@ -645,28 +664,9 @@ def model_to_json(f: BinaryModel | RealModel, provenance: dict | None = None) ->
 
 
 def model_from_json(data: dict) -> BinaryModel | RealModel:
-    """Read a model file; its values go through the class-file label reader."""
-    try:
-        domain = _domain_from_json(data)
-        values = data["values"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid model JSON: {exc}") from exc
-    if not isinstance(values, list):
-        raise ConfigError("model values must be a list of labels")
-    kind = data.get("kind")
-    if kind is None:
-        kind = "binary" if all(isinstance(v, int) for v in values) else "real"
-    if kind == "binary":
-        model, encode = BinaryModel, _encode_binary
-    elif kind == "real":
-        model, encode = RealModel, _encode_real
-    else:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    try:
-        labels = encode(values, domain.size)
-    except ValueError as exc:
-        raise ValueError(f"{kind} model values: {exc}") from exc
-    return model(domain, labels)
+    """Read a model file: its values are read as the one label row of a class file."""
+    domain, kind, matrix = _labels_from_json(data, "model")
+    return (BinaryModel if kind == "binary" else RealModel)(domain, matrix[0])
 
 
 def load_json(path) -> dict:

@@ -44,6 +44,7 @@ from .core import (
     GVConstructionError,
     RealClass,
     _binarize_matrix,
+    _check_margin,
     _star,
     binarize_class,
 )
@@ -266,8 +267,7 @@ def is_fat_shattered(H: RealClass, subset, eta: float, r) -> bool:
     xi(x) * (h(x) - r(x)) > eta, and h must be defined on the subset.
     """
     subset = _guard_subset(subset)
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
+    _check_margin(eta)
     if H.is_empty:
         return False
     if np.isscalar(r):
@@ -285,8 +285,8 @@ def is_fat_shattered(H: RealClass, subset, eta: float, r) -> bool:
 
 def _fat_search(classes, etas) -> DimensionResult:
     _domain_size(classes)
-    if min(etas) < 0:
-        raise ValueError("eta must be >= 0")
+    for eta in etas:
+        _check_margin(eta)
     if any(H.is_empty for H in classes):
         return DimensionResult(None)
     columns = [_fat_columns(H, eta) for H, eta in zip(classes, etas)]
@@ -489,25 +489,22 @@ def _max_clique(adj: list[int], n: int) -> int:
 def packing_number(S: RealClass, B: RealClass, mu_x, eps: float) -> int:
     """Maximum size of a subset of S with pairwise dual distance > eps.
 
-    Exact (max clique) for |S| <= 24; a greedy lower bound beyond.
+    Exact (max clique); guarded to |S| <= 24.
     """
+    _check_margin(eps, "eps")
     if S.is_empty:
         return 0
-    D = dual_distances(S, B, mu_x)
-    n = D.shape[0]
-    edges = D > eps
-    if n <= PACKING_EXACT_GUARD:
-        adj = [mask & ~(1 << i) for i, mask in enumerate(_masks(edges.T))]
-        return _max_clique(adj, n)
-    chosen: list[int] = []
-    for i in range(n):
-        if all(edges[i, j] for j in chosen):
-            chosen.append(i)
-    return len(chosen)
+    n = len(S)
+    if n > PACKING_EXACT_GUARD:
+        raise GuardError(f"|S| = {n} exceeds exact-packing guard {PACKING_EXACT_GUARD}")
+    edges = dual_distances(S, B, mu_x) > eps
+    adj = [mask & ~(1 << i) for i, mask in enumerate(_masks(edges.T))]
+    return _max_clique(adj, n)
 
 
 def covering_upper(S: RealClass, B: RealClass, mu_x, eps: float) -> int:
     """Greedy set-cover upper bound on the dual covering number."""
+    _check_margin(eps, "eps")
     if S.is_empty:
         return 0
     D = dual_distances(S, B, mu_x)
@@ -527,6 +524,7 @@ def covering_upper(S: RealClass, B: RealClass, mu_x, eps: float) -> int:
 
 def covering_number_exact(S: RealClass, B: RealClass, mu_x, eps: float) -> int:
     """Exact dual covering number by exhaustive search; guarded to |S| <= 20."""
+    _check_margin(eps, "eps")
     if S.is_empty:
         return 0
     n = len(S)

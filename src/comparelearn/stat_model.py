@@ -199,7 +199,7 @@ def _check_mu_x(mu_x, size: int) -> np.ndarray:
     mu = np.asarray(mu_x, dtype=np.float64)
     if mu.shape != (size,):
         raise ValueError("mu_x must be an array over the domain")
-    if (mu < 0).any() or abs(mu.sum() - 1.0) > MASS_TOL:
+    if not ((mu >= 0).all() and abs(mu.sum() - 1.0) <= MASS_TOL):  # NaN fails both
         raise ValueError("mu_x must be a probability vector")
     return mu
 

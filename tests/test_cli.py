@@ -120,6 +120,39 @@ def test_dims_conflicting_flags_exit_2(capsys, tmp_path):
         assert captured.out == "" and "--dist is read only with --packing" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--margin", "nan"], "eta must be >= 0"),  # not "mutual_fat": 0
+        (["--margin", "-0.1"], "eta must be >= 0"),
+        (["--margins", "0.1,nan"], "eta must be >= 0"),
+        (["--packing", "nan"], "eps must be >= 0"),  # not an AssertionError traceback
+        (["--packing", "-0.1"], "eps must be >= 0"),
+    ],
+)
+def test_dims_nan_or_negative_margin_exit_2(capsys, tmp_path, flags, message):
+    d = Domain(3)
+    sp, bp = tmp_path / "rS.json", tmp_path / "rB.json"
+    write_json(sp, class_to_json(RealClass(d, [[0.5, -0.5, 0.0], [-0.5, 0.5, 0.5]])))
+    write_json(bp, class_to_json(RealClass(d, [[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])))
+    assert main(["dims", str(sp), str(bp), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_dims_packing_past_the_exact_guard_exit_3(capsys, tmp_path):
+    # 26 members: a greedy lower bound (9) is not the packing number (10)
+    rng = np.random.default_rng(3)
+    S = RealClass(Domain(4), rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(27, 4)))
+    B = RealClass(Domain(4), rng.choice([-1.0, 1.0], size=(4, 4)))
+    sp, bp = tmp_path / "S.json", tmp_path / "B.json"
+    write_json(sp, class_to_json(S))
+    write_json(bp, class_to_json(B))
+    assert main(["dims", str(sp), str(bp), "--packing", "0.3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "|S| = 26 exceeds exact-packing guard 24" in captured.err
+
+
 def test_eval_functionals(capsys, tmp_path):
     rng = rng_stream(97, 2)
     dist = random_binary_distribution(rng, 4, 8)

@@ -551,6 +551,37 @@ def test_model_json_roundtrip():
     assert model_from_json(model_to_json(g)) == g
 
 
+JSON_LABELS = st.one_of(st.sampled_from([-1, 1, 0, "*"]), st.floats(-1.0, 1.0), st.integers(-1, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(JSON_LABELS, min_size=1, max_size=5))
+def test_class_and_model_files_share_one_kind_rule(row):
+    """A label row reads with one kind as class ``members`` and as model ``values``, ``kind`` omitted."""
+    domain = {"size": len(row)}
+    C = class_from_json({"domain": domain, "members": [row]})
+    binary = all(lab == "*" or (type(lab) is int and lab in (-1, 1)) for lab in row)
+    assert isinstance(C, BinaryClass if binary else RealClass)
+    kind = "binary" if binary else "real"
+    if "*" in row:  # a model is total, and its refusal names the kind
+        with pytest.raises(ValueError, match=f"^{kind} model values must"):
+            model_from_json({"domain": domain, "values": row})
+        return
+    f = model_from_json({"domain": domain, "values": row})
+    assert isinstance(f, BinaryModel if binary else RealModel)
+    assert f.values.tobytes() == C.matrix[0].tobytes()
+
+
+def test_integer_model_values_other_than_signs_read_as_real():
+    # only -1/+1 and * make a file binary, so a 0 makes the model real instead of refused
+    assert model_from_json({"domain": {"size": 2}, "values": [0, 1]}) == RealModel(Domain(2), [0.0, 1.0])
+    assert class_from_json({"domain": {"size": 2}, "members": [[0, 1]]}) == RealClass(Domain(2), [[0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^real model values: real label must lie in \[-1, 1\], got 2.0"):
+        model_from_json({"domain": {"size": 2}, "values": [2, 1]})
+    with pytest.raises(ValueError, match=r"^binary model values: binary label must be -1, \+1 or \*, got 0"):
+        model_from_json({"domain": {"size": 2}, "kind": "binary", "values": [0, 1]})
+
+
 # --- value-type contract -----------------------------------------------------------
 
 D3 = Domain(3)

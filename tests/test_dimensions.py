@@ -14,6 +14,7 @@ from comparelearn import (
     RealClass,
     agreement_class,
     as_real_class,
+    binarize_class,
     covering_number_exact,
     covering_upper,
     fat,
@@ -265,6 +266,36 @@ def test_fat_matches_direct_oracle():
             assert is_fat_shattered(C, subset, eta, np.asarray(refs))
 
 
+def test_is_fat_shattered_reference_forms():
+    C = RealClass(Domain(3), [[0.9, a, b] for a in (0.5, -0.5) for b in (0.5, -0.5)])
+    assert is_fat_shattered(C, (1, 2), 0.4, 0.0)  # a scalar is the reference at every point
+    assert is_fat_shattered(C, (1, 2), 0.4, np.array([0.0, 0.0]))  # aligned with the subset
+    assert is_fat_shattered(C, (1, 2), 0.4, np.array([5.0, 0.0, 0.0]))  # a full-domain array, read at 1 and 2
+    assert not is_fat_shattered(C, (1, 2), 0.4, np.array([0.0, 0.2, 0.0]))  # 0.5 - 0.2 misses the margin
+    with pytest.raises(ValueError, match="r must align with the subset or the domain"):
+        is_fat_shattered(C, (1, 2), 0.4, np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.1])
+def test_margins_and_radii_refuse_nan_and_negative(bad):
+    # NaN fails every comparison: an eta < 0 check lets it through, and it binarizes every label to *
+    d = Domain(2)
+    S = RealClass(d, [[0.5, -0.5], [-0.5, 0.5]])
+    B = RealClass(d, [[1.0, 1.0], [-1.0, 1.0]])
+    for call in (
+        lambda: fat(S, bad),
+        lambda: mutual_fat(S, B, bad),
+        lambda: mutual_fat2(S, B, 0.1, bad),  # the min of (0.1, nan) is 0.1
+        lambda: is_fat_shattered(S, (0,), bad, 0.0),
+        lambda: binarize_class(S, bad, 0.0),
+    ):
+        with pytest.raises(ValueError, match="^eta must be >= 0$"):
+            call()
+    for radius in (packing_number, covering_upper, covering_number_exact):
+        with pytest.raises(ValueError, match="^eps must be >= 0$"):
+            radius(S, B, np.full(2, 0.5), bad)
+
+
 def test_mutual_fat_symmetry_and_monotone_in_eta():
     rng = rng_stream(31, 6)
     for _ in range(10):
@@ -423,6 +454,17 @@ def test_packing_singleton_and_large_eps():
     assert packing_number(S, B, mu, 0.1) == 1
     S2 = RealClass(d, [[0.5, -0.5, 0.0], [0.4, 0.4, 0.4]])
     assert packing_number(S2, B, mu, 10.0) == 1
+
+
+def test_packing_refuses_past_the_exact_guard():
+    # a greedy pass answers 9 here; the maximum packing is 10
+    rng = np.random.default_rng(3)
+    S = RealClass(Domain(4), rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(27, 4)))
+    B = RealClass(Domain(4), rng.choice([-1.0, 1.0], size=(4, 4)))
+    assert len(S) == 26
+    with pytest.raises(GuardError, match=r"^\|S\| = 26 exceeds exact-packing guard 24$"):
+        packing_number(S, B, np.full(4, 0.25), 0.3)
+    assert packing_number(RealClass(Domain(4), S.matrix[:24]), B, np.full(4, 0.25), 0.3) <= 10
 
 
 def test_packing_rejects_partial():

@@ -1,5 +1,6 @@
 """Scenario constructions, the n* estimator, and experiment orchestration."""
 
+import dataclasses
 import hashlib
 import importlib.resources as res
 import json
@@ -18,6 +19,7 @@ from comparelearn import (
     Dataset,
     DiscreteDistribution,
     Domain,
+    EstimateReport,
     RealClass,
     RealHypothesis,
     RealModel,
@@ -392,6 +394,13 @@ def test_estimate_monotone_in_n_for_erm():
     )
     assert report.monotonicity_violations() == []
     assert report.n_star is not None and report.n_star >= 1
+
+
+def test_monotonicity_violations_report_a_drop():
+    # 0.90 -> 0.85 is inside two standard errors; 0.85 -> 0.40 is not
+    report = EstimateReport("c1", "reversed", 1, [0, 2, 4, 8], 100, [10, 90, 85, 40], None, 0, False, 0)
+    assert report.monotonicity_violations() == [(4, 8)]
+    assert dataclasses.replace(report, trials=0).monotonicity_violations() == []
 
 
 def test_wilson_interval_basics():

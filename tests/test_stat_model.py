@@ -29,6 +29,7 @@ from comparelearn import (
     correlation,
     ma_error,
     make_distribution,
+    packing_number,
     mc_error,
     mc_error_lambda,
     regression_loss,
@@ -119,6 +120,8 @@ def test_distribution_mass_validation():
         DiscreteDistribution(d, [(0, 1.0, math.nan), (1, 1.0, 1.0)], "real")
     with pytest.raises(ValueError, match=r"label must lie in \[-1, 1\]"):
         DiscreteDistribution(d, [(0, math.nan, 0.5), (1, 1.0, 0.5)], "real")
+    with pytest.raises(ValueError, match="distribution needs at least one atom"):
+        DiscreteDistribution(d, [], "binary")
 
 
 def test_duplicate_atoms_merge():
@@ -190,11 +193,23 @@ def test_law_rows_match_the_atom_path(case):
 @pytest.mark.parametrize("law", [DETERMINISTIC, BER_STAR])
 def test_law_rows_keep_the_atom_checks(law):
     s = SourceModel(RealHypothesis(Domain(2), [1.0, 0.0]), law)
-    with pytest.raises(ValueError, match="distribution needs at least one atom"):
-        make_distribution(np.array([math.nan, math.nan]), s)  # NaN passes the marginal's sum check
+    with pytest.raises(ValueError, match="mu_x must be a probability vector"):
+        make_distribution(np.array([math.nan, math.nan]), s)  # NaN fails the marginal check
     if law == BER_STAR:  # 5e-324 * 1/2 rounds to a zero mass
         with pytest.raises(ValueError, match="masses must be positive"):
             make_distribution(np.array([1.0, 5e-324]), s)
+
+
+@pytest.mark.parametrize("mu", [[1.0, math.nan], [math.nan, 1.0], [0.5, math.inf], [1.5, -0.5]])
+def test_marginal_check_refuses_nan(mu):
+    # unchecked, a NaN mass reads as mass 0 here and gives all-NaN dual distances in packing_number
+    s = SourceModel(RealHypothesis(Domain(2), [1.0, 0.0]))
+    S = RealClass(Domain(2), [[1.0, 0.0], [-1.0, 0.0]])
+    B = RealClass(Domain(2), [[1.0, 1.0], [-1.0, 1.0]])
+    for call in (lambda: make_distribution(np.array(mu), s), lambda: packing_number(S, B, np.array(mu), 0.1)):
+        with pytest.raises(ValueError, match="mu_x must be a probability vector"):
+            call()
+    assert packing_number(S, B, np.array([0.5, 0.5]), 0.1) == 2
 
 
 def test_family_keeps_member_marginal_law_order():
@@ -537,6 +552,14 @@ def test_dataset_roundtrip(tmp_path):
     assert np.array_equal(back.ys, data.ys)
     assert back.meta["seed"] == 47
     assert back.meta["label_kind"] == "binary"
+
+
+@pytest.mark.parametrize("header", ["x,y", "y,x_index", "", "x_index,y,z"])
+def test_load_dataset_rejects_a_bad_header(tmp_path, header):
+    path = tmp_path / "data.csv"
+    path.write_text(header + "\n0,1\n")
+    with pytest.raises(ConfigError, match=re.escape(f"expected header 'x_index,y', got {header!r}")):
+        load_dataset(path)
 
 
 def test_rng_stream_replay():
