@@ -154,6 +154,8 @@ def _params_hash(params: dict) -> str:
 
 def cmd_learn(args) -> None:
     params_raw = load_json(args.params) if args.params else {}
+    if not isinstance(params_raw, dict):
+        raise ConfigError(f"{args.params}: params must be a JSON object")
     lp = offline.LearnerParams(**params_raw)
     data = load_dataset(args.data)
     S = _load_class(args.source)

@@ -181,11 +181,18 @@ def _max_shattered(classes, columns) -> tuple[tuple[int, ...], list[tuple]]:
     return best
 
 
-def _guard_subset(subset) -> tuple[int, ...]:
-    subset = tuple(int(x) for x in subset)
+def _domain_points(points, n: int, what: str) -> list[int]:
+    """``points`` as ints; ValueError unless each is an integer (not a bool) in [0, n)."""
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < n for x in points):
+        raise ValueError(f"{what} must be points of the domain [0, {n})")
+    return [int(x) for x in points]
+
+
+def _guard_subset(subset, n: int) -> list[int]:
+    subset = list(subset)
     if len(subset) > SUBSET_GUARD:
         raise GuardError(f"subset of size {len(subset)} exceeds guard {SUBSET_GUARD}")
-    return subset
+    return _domain_points(subset, n, "subset entries")
 
 
 def is_shattered(H: BinaryClass, subset) -> bool:
@@ -194,10 +201,10 @@ def is_shattered(H: BinaryClass, subset) -> bool:
     * never matches a required label.  The empty subset is shattered iff the
     class is nonempty.
     """
-    subset = _guard_subset(subset)
+    subset = _guard_subset(subset, H.domain.size)
     if H.is_empty:
         return False
-    return _shatters(H, *_sign_masks(H.matrix[:, list(subset)]))
+    return _shatters(H, *_sign_masks(H.matrix[:, subset]))
 
 
 def vc(H: BinaryClass) -> DimensionResult:
@@ -266,7 +273,7 @@ def is_fat_shattered(H: RealClass, subset, eta: float, r) -> bool:
     a full-domain array or a scalar is also accepted.  The margin is strict:
     xi(x) * (h(x) - r(x)) > eta, and h must be defined on the subset.
     """
-    subset = _guard_subset(subset)
+    subset = _guard_subset(subset, H.domain.size)
     _check_margin(eta)
     if H.is_empty:
         return False
@@ -277,10 +284,10 @@ def is_fat_shattered(H: RealClass, subset, eta: float, r) -> bool:
         if arr.shape == (len(subset),):
             refs = arr
         elif arr.shape == (H.domain.size,):
-            refs = arr[list(subset)]
+            refs = arr[subset]
         else:
             raise ValueError("r must align with the subset or the domain")
-    return _shatters(H, *_sign_masks(_binarize_matrix(H.matrix[:, list(subset)], eta, refs)))
+    return _shatters(H, *_sign_masks(_binarize_matrix(H.matrix[:, subset], eta, refs)))
 
 
 def _fat_search(classes, etas) -> DimensionResult:
@@ -437,10 +444,7 @@ def tree_shattered_by(H: BinaryClass, tree: MistakeTree) -> bool:
     Reads only the tree's nodes, so no search guard applies; a node outside
     the domain raises ValueError.
     """
-    n = H.domain.size
-    if not all(isinstance(x, (int, np.integer)) and 0 <= x < n for x in tree.nodes):
-        raise ValueError(f"tree nodes must be points of the domain [0, {n})")
-    xs = sorted({int(x) for x in tree.nodes})
+    xs = sorted(set(_domain_points(tree.nodes, H.domain.size, "tree nodes")))
     plus, minus = (dict(zip(xs, masks)) for masks in _sign_masks(H.matrix[:, xs]))
     level = [(1 << len(H)) - 1]  # the members on each path, breadth first
     for i in range(tree.depth):

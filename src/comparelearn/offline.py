@@ -14,7 +14,7 @@ based on the finite-class ERM bound O(log|H| / eps^2); runs accept any user
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Callable, Sequence
 
@@ -69,7 +69,10 @@ def max_threshold_index(eta2: float) -> int:
 class LearnerParams:
     """Knobs shared by the batch learners; unused fields are ignored.
 
-    Split sizes must sum to the data length at the call site.
+    Each field must have its annotated type (a bool is neither an int nor a
+    float; a float field also takes an int) and ``k`` must be positive, else
+    ValueError.  Split sizes must be nonnegative and sum to the data length
+    at the call site.
     """
 
     epsilon: float = 0.0
@@ -85,6 +88,16 @@ class LearnerParams:
     n2: int | None = None
     n3: int | None = None
     n0: int | None = None
+
+    def __post_init__(self):
+        IntervalPartition(self.k)  # refuses a k that is not a positive integer
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is None and field.default is None:
+                continue
+            kinds = (int, np.integer) if "int" in field.type else (int, float, np.integer, np.floating)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"LearnerParams.{field.name} must be {field.type}, got {value!r}")
 
 
 @dataclass
@@ -252,6 +265,8 @@ def _split_two(data: Dataset, params: LearnerParams) -> tuple[Dataset, Dataset]:
     n = len(data)
     n1 = params.n1 if params.n1 is not None else n // 2
     n2 = params.n2 if params.n2 is not None else n - n1
+    if min(n1, n2) < 0:
+        raise ValueError(f"split sizes must be nonnegative, got n1 = {n1}, n2 = {n2}")
     if n1 + n2 != n:
         raise ValueError(f"split sizes n1 + n2 = {n1 + n2} must sum to n = {n}")
     return data.slice(0, n1), data.slice(n1, n)
@@ -397,6 +412,8 @@ def _block_loop(f, data, W, Wp, n1, n2, n3, calibrate, oracle_step, inspector, n
     """
     if None in (n1, n2, n3):
         raise ValueError(f"{name} requires explicit n1, n2, n3 split sizes")
+    if min(n1, n2, n3) < 0:
+        raise ValueError(f"{name} split sizes must be nonnegative, got n1 = {n1}, n2 = {n2}, n3 = {n3}")
     split = Wp * (n1 + n2)
     need = split + W * n3
     if need > len(data):

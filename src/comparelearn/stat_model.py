@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -33,12 +34,12 @@ from .core import (
     _json_float,
     _real_view,
     _star,
-    as_real_class,
     gen_product_arr,
     sign_arr,
 )
 
 MASS_TOL = 1e-12
+_BOOL_TYPES = (bool, np.bool_)
 
 DETERMINISTIC = "deterministic"
 BER_STAR = "ber_star"
@@ -89,7 +90,12 @@ class DiscreteDistribution(_Immutable):
             raise ValueError("label_kind must be 'binary' or 'real'")
         merged: dict[tuple[int, float], float] = {}
         for x, y, p in atoms:
-            x = int(x)
+            try:  # an int or a NumPy integer; a bool, 0.7 or "0" is refused, not read as a point
+                x = operator.index(x if type(x) is not bool else None)
+            except TypeError:
+                raise ValueError(f"support index must be an integer, got {x!r}") from None
+            if type(y) in _BOOL_TYPES:  # float() would read True as +1
+                raise ValueError(f"support label must be a number, got {y!r}")
             y = float(y)
             p = float(p)
             if not 0 <= x < domain.size:
@@ -335,31 +341,6 @@ def corr_partial(b, dist: DiscreteDistribution) -> float:
     return float(_corr_rows(_real_values(b)[None, dist.xs], dist)[0])
 
 
-def _residual_star_terms(f, B, dist):
-    """Per-member p*(f-y)*b over defined points and p*|f-y| over *, and f on
-    the support; ``f`` must be total."""
-    fx = _total_values(f)[dist.xs]
-    if B.is_empty:
-        raise ValueError("benchmark class must be nonempty")
-    res = fx - dist.ys  # (N,)
-    bx = as_real_class(B).matrix[:, dist.xs]  # (mB, N)
-    star = _star(bx)
-    defined_contrib = dist.ps * res * np.where(star, 0.0, bx)
-    star_contrib = dist.ps * np.abs(res) * star
-    return defined_contrib, star_contrib, fx
-
-
-def ma_error(f, B, dist: DiscreteDistribution) -> float:
-    """Multiaccuracy error: sup over b and sign of E[((f-y) sigma) <> b(x)].
-
-    For each member the inner sup over sigma equals |sum over defined points|
-    minus the * mass term, computed exactly.
-    """
-    defined, starred, _ = _residual_star_terms(f, B, dist)
-    per_member = np.abs(defined.sum(axis=1)) - starred.sum(axis=1)
-    return float(per_member.max())
-
-
 def _level_sums(arr: np.ndarray, labels: np.ndarray):
     """Yield (level, arr summed over that level's points) by increasing level;
     ``labels`` gives each point's level, the last axis of ``arr`` the points."""
@@ -367,15 +348,32 @@ def _level_sums(arr: np.ndarray, labels: np.ndarray):
         yield v, arr[..., labels == v].sum(axis=-1)
 
 
-def _mc_total(f, B, dist: DiscreteDistribution, partition: IntervalPartition | None) -> float:
-    """Sup over members of the sum over levels of |defined sum| - * mass; the
-    levels are the model's values, or its cells of ``partition``."""
-    defined, starred, fx = _residual_star_terms(f, B, dist)
-    labels = fx if partition is None else partition.cell_indices(fx)
-    totals = np.zeros(defined.shape[0])
-    for _, (level_defined, level_starred) in _level_sums(np.stack([defined, starred]), labels):
-        totals += np.abs(level_defined) - level_starred
-    return float(totals.max())
+def _calibration_rows(f, rows: np.ndarray, dist: DiscreteDistribution, levels=None) -> float:
+    """Max over rows b of the sum over levels of |E[(f - y) b; level]| minus
+    E[|f - y|; level, b = *], for a total model ``f``: the sup over a sign per
+    level of E[((f - y) sign) <> b], computed exactly.
+
+    ``rows`` holds real values on ``dist.xs`` (NaN = *), one row per benchmark
+    member; ``levels`` maps f's values on ``dist.xs`` to each point's level,
+    and None means one level.
+    """
+    fx = _total_values(f)[dist.xs]
+    if rows.shape[0] == 0:
+        raise ValueError("benchmark class must be nonempty")
+    res = fx - dist.ys
+    star = _star(rows)
+    terms = np.stack([dist.ps * res * np.where(star, 0.0, rows), dist.ps * np.abs(res) * star])
+    if levels is None:
+        level_terms = [terms.sum(axis=-1)]
+    else:
+        level_terms = [total for _, total in _level_sums(terms, levels(fx))]
+    return float(sum(np.abs(defined) - starred for defined, starred in level_terms).max())
+
+
+def ma_error(f, B, dist: DiscreteDistribution) -> float:
+    """Multiaccuracy error: sup over b and sign of E[((f-y) sigma) <> b(x)];
+    MC with one level."""
+    return _calibration_rows(f, _real_view(B.matrix[:, dist.xs]), dist)
 
 
 def mc_error(f, B, dist: DiscreteDistribution) -> float:
@@ -384,27 +382,25 @@ def mc_error(f, B, dist: DiscreteDistribution) -> float:
     The sign is chosen per level inside the sum; the sup over members is
     outside.
     """
-    return _mc_total(f, B, dist, None)
+    return _calibration_rows(f, _real_view(B.matrix[:, dist.xs]), dist, lambda fx: fx)
 
 
 def mc_error_lambda(
     f, B, dist: DiscreteDistribution, partition: IntervalPartition
 ) -> float:
     """Multicalibration error over a fixed interval partition of [-1, 1]."""
-    return _mc_total(f, B, dist, partition)
+    return _calibration_rows(f, _real_view(B.matrix[:, dist.xs]), dist, partition.cell_indices)
 
 
 def cal_error(f, dist: DiscreteDistribution) -> float:
-    """Overall calibration error: sum over levels of |E[(y - f)1(f = v)]|."""
-    fvals = _total_values(f)[dist.xs]
-    resid = dist.ps * (dist.ys - fvals)
-    return sum(abs(float(total)) for _, total in _level_sums(resid, fvals))
+    """Overall calibration error: sum over levels of |E[(y - f)1(f = v)]|;
+    MC against the constant member +1."""
+    return _calibration_rows(f, np.ones((1, dist.xs.size)), dist, lambda fx: fx)
 
 
 def sign_cal_error(f, dist: DiscreteDistribution) -> float:
-    """|E[(y - f(x)) sign(f(x))]|."""
-    fvals = _total_values(f)[dist.xs]
-    return abs(float(np.sum(dist.ps * (dist.ys - fvals) * sign_arr(fvals))))
+    """|E[(y - f(x)) sign(f(x))]|; MA against sign(f)."""
+    return _calibration_rows(f, _real_view(sign_arr(_total_values(f)[dist.xs]))[None], dist)
 
 
 def regression_loss(f, loss, dist: DiscreteDistribution) -> float:

@@ -269,6 +269,31 @@ def test_learn_bool_partition_size_exit_2(tmp_path, capsys, class_files):
     assert not outp.exists()
 
 
+@pytest.mark.parametrize(
+    "task, params, message",
+    [
+        # n1 = -4 used to slice off a wrong split, and true to read as 1
+        ("dcorm", {"eta1": 0.1, "eta2": 0.5, "n1": -4}, "split sizes must be nonnegative"),
+        ("dcorm", {"eta1": 0.1, "eta2": 0.5, "n1": True}, "LearnerParams.n1 must be int | None, got True"),
+        ("dcorm", {"eta1": 0.1, "eta2": 0.5, "n1": 2.5}, "LearnerParams.n1 must be int | None, got 2.5"),
+        ("dcorm", {"eta1": 0.1, "eta2": None}, "LearnerParams.eta2 must be float, got None"),
+        ("mamc", {"gamma": "x"}, "LearnerParams.gamma must be float, got 'x'"),
+        ("dcorm", [0.1, 0.5], "params must be a JSON object"),
+    ],
+)
+def test_learn_ill_typed_params_exit_2(tmp_path, capsys, class_files, task, params, message):
+    sp, bp, S, B = class_files
+    rng = rng_stream(97, 5)
+    datap, pp, outp = tmp_path / "data.csv", tmp_path / "params.json", tmp_path / "model.json"
+    save_dataset(Dataset(rng.integers(0, 4, size=60), rng.uniform(-1, 1, size=60)), datap)
+    write_json(pp, params)
+    argv = ["learn", "--task", task, "--source", str(sp), "--benchmark", str(bp),
+            "--params", str(pp), "--data", str(datap), "--out", str(outp)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not outp.exists()
+
+
 def test_online_replay_outputs(tmp_path, class_files):
     sp, bp, S, B = class_files
     rng = rng_stream(97, 6)

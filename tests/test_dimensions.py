@@ -150,6 +150,18 @@ def test_is_shattered_examples():
     assert not is_shattered(empty, ())
 
 
+@pytest.mark.parametrize("subset", [[-1], [0, -1], [3], [0, 1.0], [True], ["0"]])
+def test_shattering_checks_refuse_points_outside_the_domain(subset):
+    # -1 used to wrap to point 2, which this class shatters
+    H = BinaryClass(Domain(3), [[1, 1, 1], [1, -1, -1], [-1, 1, 1], [-1, -1, -1]])
+    assert is_shattered(H, [2]) and is_shattered(H, np.array([0, 2]))
+    message = r"^subset entries must be points of the domain \[0, 3\)$"
+    with pytest.raises(ValueError, match=message):
+        is_shattered(H, subset)
+    with pytest.raises(ValueError, match=message):
+        is_fat_shattered(as_real_class(H), subset, 0.1, 0.0)
+
+
 def test_subset_guard():
     d = Domain(31)
     C = BinaryClass(d, [np.ones(31, dtype=np.int8)])
@@ -431,9 +443,18 @@ def test_tree_shattered_by_reads_only_tree_nodes():
     H = BinaryClass(d, [np.ones(30, dtype=np.int8), -np.ones(30, dtype=np.int8)])
     assert tree_shattered_by(H, MistakeTree(1, (29,)))
     assert not tree_shattered_by(H, MistakeTree(2, (0, 1, 1)))
-    for node in (30, -1, 1.5):
+    for node in (30, -1, 1.5, True):
         with pytest.raises(ValueError):
             tree_shattered_by(H, MistakeTree(1, (node,)))
+
+
+def test_mistake_tree_checks_its_shape():
+    with pytest.raises(ValueError, match=r"^a depth-m tree has 2\^m - 1 nodes$"):
+        MistakeTree(2, (0, 1))
+    tree = MistakeTree(2, (0, 1, 2))
+    assert tree.node(()) == 0 and tree.node((1,)) == 2
+    with pytest.raises(ValueError, match="^path longer than tree depth$"):
+        tree.node((1, -1))
 
 
 def test_ldim_guards():
@@ -441,6 +462,18 @@ def test_ldim_guards():
     C = BinaryClass(d, [np.ones(25, dtype=np.int8)])
     with pytest.raises(GuardError):
         ldim(C)
+    cube = BinaryClass(Domain(13), np.array(list(product((-1, 1), repeat=13)), dtype=np.int8)[:4097])
+    with pytest.raises(GuardError, match=r"^\|H\| = 4097 exceeds Ldim guard 4096$"):
+        ldim(cube)
+
+
+def test_empty_class_is_undefined_and_packs_nothing():
+    d = Domain(2)
+    empty, B = RealClass(d, []), RealClass(d, [[1.0, 1.0]])
+    assert fat(empty, 0.1).is_undefined
+    assert mutual_ldim(BinaryClass(d, []), BinaryClass(d, [[1, -1]])).is_undefined
+    for radius in (packing_number, covering_upper, covering_number_exact):
+        assert radius(empty, B, np.full(2, 0.5), 0.1) == 0
 
 
 # --- packing / covering -----------------------------------------------------------
@@ -465,6 +498,12 @@ def test_packing_refuses_past_the_exact_guard():
     with pytest.raises(GuardError, match=r"^\|S\| = 26 exceeds exact-packing guard 24$"):
         packing_number(S, B, np.full(4, 0.25), 0.3)
     assert packing_number(RealClass(Domain(4), S.matrix[:24]), B, np.full(4, 0.25), 0.3) <= 10
+
+
+def test_covering_refuses_past_the_exact_guard():
+    S = RealClass(Domain(5), np.array(list(product((-1.0, 0.0, 1.0), repeat=5)))[:21])
+    with pytest.raises(GuardError, match=r"^\|S\| = 21 exceeds exact-covering guard 20$"):
+        covering_number_exact(S, RealClass(Domain(5), [np.ones(5)]), np.full(5, 0.2), 0.1)
 
 
 def test_packing_rejects_partial():

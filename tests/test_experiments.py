@@ -396,6 +396,15 @@ def test_estimate_monotone_in_n_for_erm():
     assert report.n_star is not None and report.n_star >= 1
 
 
+def test_estimate_refuses_an_empty_grid_and_adversarial_mode_without_a_family():
+    spec = scenario("c1", 5, "forward", epsilon=0.0, delta=0.0)
+    assert spec.mu_family is None  # past the enumeration guard
+    with pytest.raises(ValueError, match="^empty n grid$"):
+        estimate_sample_complexity(spec, default_learner_factory, [], trials=1, seed=5)
+    with pytest.raises(ValueError, match="^adversarial mode needs an enumerated family$"):
+        estimate_sample_complexity(spec, default_learner_factory, [0], trials=1, seed=5, adversarial=True)
+
+
 def test_monotonicity_violations_report_a_drop():
     # 0.90 -> 0.85 is inside two standard errors; 0.85 -> 0.40 is not
     report = EstimateReport("c1", "reversed", 1, [0, 2, 4, 8], 100, [10, 90, 85, 40], None, 0, False, 0)
@@ -498,6 +507,15 @@ def test_run_experiment_rejects_bad_config(tmp_path):
         {"seed": 1, "experiments": [c1], "records_millis": True},
     ):
         with pytest.raises(ConfigError):
+            run_experiment(cfg, out)
+    for cfg, message in (
+        ([c1], "config: top level must be an object"),
+        ({"seed": 1, "record_millis": 1, "experiments": [c1]}, "config.record_millis: must be a boolean"),
+        ({"seed": 1, "experiments": []}, "config.experiments: required nonempty list"),
+        ({"seed": 1, "experiments": [c1, "c1"]}, r"config.experiments\[1\]: must be an object"),
+        ({"seed": 1, "experiments": [{**c1, "mode": "bogus"}]}, r"\.mode: must be sampled or adversarial"),
+    ):
+        with pytest.raises(ConfigError, match=message):
             run_experiment(cfg, out)
     assert not out.exists()
     checked = _validate_config({"seed": 1, "experiments": [{**c1, "epsilon": 2, "delta": 0.999}]})

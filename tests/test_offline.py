@@ -694,7 +694,22 @@ def test_ma_mc_k_guard_and_w_validation():
             S, B, data, IntervalPartition(1),
             LearnerParams(gamma=0.1, W=5, n1=1, n2=1), oracle,
         )
+    with pytest.raises(ValueError, match="ma_mc_learn split sizes must be nonnegative"):
+        ma_mc_learn(
+            S, B, data, IntervalPartition(1),
+            LearnerParams(gamma=0.5, W=20, n1=-1, n2=1), oracle,
+        )
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("eta2", None), ("gamma", "x"), ("alpha", True), ("n1", 2.5), ("n1", True), ("W", 1.0), ("k", 0)],
+)
+def test_learner_params_refuse_ill_typed_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        LearnerParams(**{field: value})
+    LearnerParams(eta=1, epsilon=np.float64(0.5), n1=np.int64(3), n0=None)  # ints pass as floats
 
 
 def test_round_model():

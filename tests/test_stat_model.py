@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from comparelearn import (
@@ -716,3 +716,43 @@ def test_distribution_constructor_takes_numpy_scalars_file_rows_do_not():
     assert DiscreteDistribution.from_json(mu.to_json()).to_json() == mu.to_json()
     with pytest.raises(ConfigError, match="support row must be a list"):
         DiscreteDistribution.from_json({"domain": {"size": 2}, "kind": "binary", "support": atoms})
+
+
+@pytest.mark.parametrize(
+    "atom, message",
+    [
+        ((0, True, 1.0), "support label must be a number, got True"),
+        ((0, np.True_, 1.0), "support label must be a number"),
+        ((0.7, 1, 1.0), "support index must be an integer, got 0.7"),
+        ((np.float64(0.0), 1, 1.0), "support index must be an integer"),
+        ((True, 1, 1.0), "support index must be an integer, got True"),
+        (("0", 1, 1.0), "support index must be an integer"),
+    ],
+)
+def test_distribution_refuses_a_bool_label_and_a_non_integer_point(atom, message):
+    # float() read true as +1 and int() read 0.7 as point 0
+    with pytest.raises(ValueError, match=message):
+        DiscreteDistribution(Domain(1), [atom], "binary")
+
+
+def _nine_atoms_on_one_level():
+    # a plain sum and a level-mask sum of these nine atoms differ in the last bit
+    d = Domain(9)
+    weights, ys = (8, 6, 9, 5, 6, 9, 7, 6, 5), (1.0,) * 3 + (-1.0,) * 6
+    dist = DiscreteDistribution(d, [(x, y, w / 61) for x, (y, w) in enumerate(zip(ys, weights))], "binary")
+    return d, dist, np.ones((1, 9), np.int8), np.ones((1, 9)), np.full(9, 1 / 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(functional_cases())
+@example(_nine_atoms_on_one_level())
+def test_calibration_functionals_share_one_kernel(case):
+    # cal_error is MC against the constant +1, sign_cal_error is MA against sign(f)
+    d, dist, binary, real, model = case
+    f = RealModel(d, model)
+    assert cal_error(f, dist) == mc_error(f, BinaryClass(d, [np.ones(d.size, np.int8)]), dist)
+    assert sign_cal_error(f, dist) == ma_error(f, BinaryClass(d, [np.where(model >= 0, 1, -1)]), dist)
+    for B in (BinaryClass(d, binary), RealClass(d, real)):
+        # MA is MC with one level; one cell sums by a level mask, one level without, so the orders differ
+        assert abs(ma_error(f, B, dist) - mc_error_lambda(f, B, dist, IntervalPartition(1))) <= 1e-12
+
